@@ -78,9 +78,26 @@ impl CooMatrix {
         debug_assert!(workspace.iter().all(|&w| w == 0.0));
         v.scatter(workspace);
         out.fill(0.0);
-        // One flat pass over all nnz entries: perfectly balanced work.
+        // One flat pass over all nnz entries: perfectly balanced work. The
+        // running row sum lives in a register and is stored once, at the
+        // row boundary, instead of a load and store of `out` per entry;
+        // the additions happen in the same order, so the result is
+        // bit-identical to accumulating in `out`.
+        let mut acc: Scalar = 0.0;
+        let mut cur = usize::MAX;
         for k in 0..self.values.len() {
-            out[self.row_idx[k]] += self.values[k] * workspace[self.col_idx[k]];
+            let r = self.row_idx[k];
+            if r != cur {
+                if cur != usize::MAX {
+                    out[cur] = acc;
+                }
+                acc = 0.0;
+                cur = r;
+            }
+            acc += self.values[k] * workspace[self.col_idx[k]];
+        }
+        if cur != usize::MAX {
+            out[cur] = acc;
         }
         v.unscatter(workspace);
     }
@@ -272,6 +289,49 @@ mod tests {
         let mut out = vec![0.0; 3];
         m.smsv(&v, &mut out);
         assert_eq!(out, vec![2.0, 0.0, 11.0]);
+    }
+
+    #[test]
+    fn smsv_view_bit_matches_csr() {
+        use crate::CsrMatrix;
+        let sub: Scalar = 1e-310;
+        assert!(sub != 0.0 && !sub.is_normal());
+        // Rows 1, 4 and 6 are empty; explicit ±0 entries survive because
+        // the entries are already compact.
+        let t = TripletMatrix::from_entries(
+            7,
+            4,
+            vec![
+                (0, 0, 1.5),
+                (0, 1, -0.0),
+                (0, 3, sub),
+                (2, 0, 0.0),
+                (2, 2, -sub),
+                (3, 1, 3.0),
+                (3, 2, 1e300),
+                (3, 3, -2.25),
+                (5, 0, 5e-324),
+                (5, 3, -0.0),
+            ],
+        )
+        .unwrap();
+        let (coo, csr) = (CooMatrix::from_triplets(&t), CsrMatrix::from_triplets(&t));
+        assert_eq!(coo.nnz(), 10);
+        let queries = [
+            SparseVec::new(4, vec![0, 1, 2, 3], vec![2.0, -0.0, 1e10, sub]),
+            SparseVec::new(4, vec![0, 3], vec![-0.0, 0.0]),
+            SparseVec::new(4, vec![1, 2], vec![Scalar::INFINITY, 3.0]),
+            SparseVec::new(4, vec![0, 2, 3], vec![Scalar::NAN, -1.0, Scalar::NEG_INFINITY]),
+            SparseVec::zeros(4),
+        ];
+        let (mut ws_coo, mut ws_csr) = (Vec::new(), Vec::new());
+        for q in &queries {
+            let (mut a, mut b) = (vec![7.0; 7], vec![7.0; 7]);
+            coo.smsv_view(q.as_view(), &mut a, &mut ws_coo);
+            csr.smsv_view(q.as_view(), &mut b, &mut ws_csr);
+            let bits = |v: &[Scalar]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a), bits(&b), "query {q:?}");
+        }
     }
 
     #[test]

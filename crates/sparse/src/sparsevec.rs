@@ -159,6 +159,17 @@ impl SparseVec {
     pub fn as_view(&self) -> SparseVecView<'_> {
         SparseVecView { dim: self.dim, indices: &self.indices, values: &self.values }
     }
+
+    /// Overwrites this vector with a copy of `v`, reusing its allocations:
+    /// once the capacity covers the longest row copied in, this allocates
+    /// nothing.
+    pub fn assign_view(&mut self, v: SparseVecView<'_>) {
+        self.dim = v.dim;
+        self.indices.clear();
+        self.indices.extend_from_slice(v.indices);
+        self.values.clear();
+        self.values.extend_from_slice(v.values);
+    }
 }
 
 /// A borrowed sparse vector: the zero-copy counterpart of [`SparseVec`].
@@ -448,6 +459,14 @@ mod tests {
         assert_eq!(view.get(4), 0.0);
         assert_eq!(view.norm_sq(), s.norm_sq());
         assert_eq!(view.to_owned(), s);
+    }
+
+    #[test]
+    fn assign_view_overwrites_in_place() {
+        let mut dst = v(8, &[(0, 1.0), (3, 2.0), (7, -1.0)]);
+        let src = v(5, &[(2, 4.0)]);
+        dst.assign_view(src.as_view());
+        assert_eq!(dst, src);
     }
 
     #[test]

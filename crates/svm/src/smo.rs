@@ -64,11 +64,16 @@ pub struct SmoParams {
     /// plain `C`. Values > 1 push the boundary toward the negative class —
     /// the standard handle for imbalanced data.
     pub positive_weight: Scalar,
-    /// Kernel rows prefetched per cache miss with one blocked SMSV sweep
-    /// (`smsv_block`): the missed row plus up to `block_size − 1` likely-
-    /// next working-set candidates. `1` reproduces the classic one-row-per-
-    /// miss behaviour exactly. Ignored when `threads > 1` (the worker pool
-    /// splits single rows instead).
+    /// Most kernel rows computed per cache miss, in one blocked SMSV sweep
+    /// (`smsv_block`): the missed row plus up to `block_size − 1` uncached
+    /// active samples closest to being selected — `f_i − b_high` for
+    /// `I_high` members, `b_low − f_i` for `I_low` members, smallest first.
+    /// Prefetched rows only fill free cache slots, never evicting a
+    /// resident row, so once the cache is full every miss computes just
+    /// the missed row. The prefetch changes which rows are computed, never
+    /// their values: the α trajectory is the same for every block size.
+    /// `1` computes one row per miss. Ignored when `threads > 1` (the
+    /// worker pool splits single rows instead).
     pub block_size: usize,
 }
 
@@ -131,7 +136,8 @@ pub struct SmoStats {
     pub final_gap: Scalar,
     /// Support vectors in the returned model.
     pub n_support_vectors: usize,
-    /// SMSV products actually executed (cache misses).
+    /// Kernel rows computed by SMSV: one per cache miss, plus every row a
+    /// miss prefetched and every partial row evaluated while shrunk.
     pub smsv_count: u64,
     /// Kernel rows served from cache.
     pub cache_hits: u64,
@@ -162,7 +168,8 @@ pub fn train_with_stats<M: MatrixFormat + Sync>(
 pub struct SegmentReport {
     /// Iterations executed in this segment.
     pub iterations: usize,
-    /// SMSV products executed in this segment (cache misses only).
+    /// Kernel rows computed by SMSV in this segment, counted as in
+    /// [`SmoStats::smsv_count`].
     pub smsv_count: u64,
     /// Whether the duality-gap criterion was met during the segment.
     pub converged: bool,
@@ -218,9 +225,10 @@ struct SmoWorkspace {
     scratch_b: RowScratch,
     /// Dense scatter workspace shared by every `smsv_view`/`smsv_block`.
     smsv_ws: Vec<Scalar>,
-    /// Row indices gathered for one blocked prefetch.
-    block_rows: Vec<usize>,
-    /// Owned right-hand sides handed to `smsv_block`.
+    /// Prefetch candidates of one miss as `(distance from selection,
+    /// sample)`, cut down to the rows that are prefetched.
+    candidates: Vec<(Scalar, usize)>,
+    /// Right-hand sides handed to `smsv_block`, refilled in place.
     block_vecs: Vec<SparseVec>,
     /// Vector-major output of `smsv_block` (`b × n`).
     block_out: Vec<Scalar>,
@@ -244,7 +252,7 @@ impl SmoWorkspace {
             scratch_a: RowScratch::new(),
             scratch_b: RowScratch::new(),
             smsv_ws: Vec::new(),
-            block_rows: Vec::new(),
+            candidates: Vec::new(),
             block_vecs: Vec::new(),
             block_out: Vec::new(),
             is_active: vec![true; n],
@@ -263,6 +271,18 @@ fn c_of(params: &SmoParams, yi: Scalar) -> Scalar {
     } else {
         params.c
     }
+}
+
+/// Membership of a sample in Keerthi's index sets, `(I_high, I_low)`.
+/// Free samples belong to both; a sample at a bound belongs to the one its
+/// label and bound allow to move.
+#[inline]
+fn index_sets(params: &SmoParams, yi: Scalar, ai: Scalar) -> (bool, bool) {
+    let free = ai > ALPHA_EPS && ai < c_of(params, yi) - ALPHA_EPS;
+    let at_zero = ai <= ALPHA_EPS;
+    let in_high = free || (yi > 0.0 && at_zero) || (yi < 0.0 && !at_zero && !free);
+    let in_low = free || (yi > 0.0 && !at_zero && !free) || (yi < 0.0 && at_zero);
+    (in_high, in_low)
 }
 
 impl SmoState {
@@ -316,7 +336,8 @@ impl SmoState {
         self.iterations
     }
 
-    /// Total SMSV products executed so far (cache misses only).
+    /// Kernel rows computed by SMSV so far, counted as in
+    /// [`SmoStats::smsv_count`].
     pub fn smsv_count(&self) -> u64 {
         self.smsv_count
     }
@@ -365,14 +386,7 @@ impl SmoState {
             let (mut high, mut low) = (usize::MAX, usize::MAX);
             let (mut b_high, mut b_low) = (Scalar::INFINITY, Scalar::NEG_INFINITY);
             for &i in &self.active {
-                let ai = self.alpha[i];
-                let ci = c_of(params, self.y[i]);
-                let free = ai > ALPHA_EPS && ai < ci - ALPHA_EPS;
-                let at_zero = ai <= ALPHA_EPS;
-                let in_high =
-                    free || (self.y[i] > 0.0 && at_zero) || (self.y[i] < 0.0 && !at_zero && !free);
-                let in_low =
-                    free || (self.y[i] > 0.0 && !at_zero && !free) || (self.y[i] < 0.0 && at_zero);
+                let (in_high, in_low) = index_sets(params, self.y[i], self.alpha[i]);
                 if in_high && self.f[i] < b_high {
                     b_high = self.f[i];
                     high = i;
@@ -444,6 +458,8 @@ impl SmoState {
                     params,
                     &self.y,
                     &self.alpha,
+                    &self.f,
+                    (b_high, b_low),
                     &self.active,
                     &self.norms_sq,
                     &mut self.cache,
@@ -459,13 +475,7 @@ impl SmoState {
                 let mut best = Scalar::NEG_INFINITY;
                 let mut best_j = low;
                 for &j in &self.active {
-                    let aj = self.alpha[j];
-                    let free = aj > ALPHA_EPS && aj < c_of(params, self.y[j]) - ALPHA_EPS;
-                    let at_zero = aj <= ALPHA_EPS;
-                    let in_low = free
-                        || (self.y[j] > 0.0 && !at_zero && !free)
-                        || (self.y[j] < 0.0 && at_zero);
-                    if !in_low {
+                    if !index_sets(params, self.y[j], self.alpha[j]).1 {
                         continue;
                     }
                     let diff = self.f[j] - b_high;
@@ -505,6 +515,8 @@ impl SmoState {
                     params,
                     &self.y,
                     &self.alpha,
+                    &self.f,
+                    (b_high, b_low),
                     &self.active,
                     &self.norms_sq,
                     &mut self.cache,
@@ -608,13 +620,7 @@ impl SmoState {
         // final selection pass already computed the interval endpoints.
         let (mut b_high, mut b_low) = (Scalar::INFINITY, Scalar::NEG_INFINITY);
         for i in 0..n {
-            let ai = self.alpha[i];
-            let free = ai > ALPHA_EPS && ai < c_of(params, self.y[i]) - ALPHA_EPS;
-            let at_zero = ai <= ALPHA_EPS;
-            let in_high =
-                free || (self.y[i] > 0.0 && at_zero) || (self.y[i] < 0.0 && !at_zero && !free);
-            let in_low =
-                free || (self.y[i] > 0.0 && !at_zero && !free) || (self.y[i] < 0.0 && at_zero);
+            let (in_high, in_low) = index_sets(params, self.y[i], self.alpha[i]);
             if in_high {
                 b_high = b_high.min(self.f[i]);
             }
@@ -648,12 +654,14 @@ impl SmoState {
 /// Serves the full kernel row `row` into `dest` (length n), through the
 /// LRU cache.
 ///
-/// On a hit the row is copied straight out of the cache. On a miss, one
-/// SMSV produces the row — via the persistent worker pool when
-/// `threads > 1`, via the borrowed-view kernel otherwise — and, when
-/// `block_size > 1` (serial mode only), up to `block_size − 1` additional
-/// not-yet-cached working-set candidates are prefetched with a single
-/// blocked SMSV sweep over the matrix.
+/// On a hit the row is copied straight out of the cache. On a miss with
+/// `block_size > 1` (serial mode only) and free cache slots to spare, the
+/// uncached active samples closest to selection — the ranking described
+/// at [`SmoParams::block_size`] — are computed together with the missed
+/// row in one blocked SMSV sweep, as many as fit the free slots. With no
+/// slot to spare the miss is a single SMSV — via the persistent worker
+/// pool when `threads > 1`, via the borrowed-view kernel otherwise — so a
+/// prefetch never evicts a resident row.
 #[allow(clippy::too_many_arguments)]
 fn fetch_full_row<M: MatrixFormat + Sync>(
     x: &M,
@@ -661,6 +669,8 @@ fn fetch_full_row<M: MatrixFormat + Sync>(
     params: &SmoParams,
     y: &[Scalar],
     alpha: &[Scalar],
+    f: &[Scalar],
+    (b_high, b_low): (Scalar, Scalar),
     active: &[usize],
     norms_sq: &[Scalar],
     cache: &mut KernelCache,
@@ -673,59 +683,63 @@ fn fetch_full_row<M: MatrixFormat + Sync>(
         dest.copy_from_slice(cached);
         return;
     }
-    let block = if params.threads > 1 { 1 } else { params.block_size.max(1) };
-    let b_max = block.min(cache.capacity());
-    if b_max <= 1 {
+    // The missed row takes one free slot; prefetches may use the rest.
+    let block = if params.threads > 1 { 1 } else { params.block_size };
+    let want = (block - 1).min(cache.free_slots().saturating_sub(1));
+    ws.candidates.clear();
+    if want > 0 {
+        for &i in active {
+            if i == row || cache.contains(i) {
+                continue;
+            }
+            let (in_high, in_low) = index_sets(params, y[i], alpha[i]);
+            let mut distance = Scalar::INFINITY;
+            if in_high {
+                distance = f[i] - b_high;
+            }
+            if in_low {
+                distance = distance.min(b_low - f[i]);
+            }
+            ws.candidates.push((distance, i));
+        }
+        if ws.candidates.len() > want {
+            ws.candidates.select_nth_unstable_by(want - 1, |a, b| a.0.total_cmp(&b.0));
+            ws.candidates.truncate(want);
+        }
+    }
+    if ws.candidates.is_empty() {
         *smsv_count += 1;
         let xr = x.row_view_in(row, &mut ws.scratch_a);
-        if params.threads > 1 {
-            if let Some(pool) = ws.pool.as_ref() {
-                pool.smsv_generic(x, xr, dest);
-            } else {
-                x.smsv_view(xr, dest, &mut ws.smsv_ws);
-            }
-        } else {
-            x.smsv_view(xr, dest, &mut ws.smsv_ws);
+        match ws.pool.as_ref() {
+            Some(pool) if params.threads > 1 => pool.smsv_generic(x, xr, dest),
+            _ => x.smsv_view(xr, dest, &mut ws.smsv_ws),
         }
         params.kernel.apply_row(dest, norms_sq, norms_sq[row]);
-        cache.insert(row, dest.to_vec());
+        cache.insert(row, dest);
         return;
     }
-    // Blocked prefetch: the missed row plus free, uncached working-set
-    // candidates (free α ⇒ likely future high/low selections).
-    ws.block_rows.clear();
-    ws.block_rows.push(row);
-    for &i in active {
-        if ws.block_rows.len() >= b_max {
-            break;
-        }
-        if i == row || cache.contains(i) {
-            continue;
-        }
-        let ai = alpha[i];
-        let free = ai > ALPHA_EPS && ai < c_of(params, y[i]) - ALPHA_EPS;
-        if free {
-            ws.block_rows.push(i);
-        }
+    // Lane 0 is the missed row, lanes 1.. the prefetched candidates.
+    let b = ws.candidates.len() + 1;
+    if ws.block_vecs.len() < b {
+        ws.block_vecs.resize(b, SparseVec::zeros(0));
     }
-    let b = ws.block_rows.len();
-    ws.block_vecs.clear();
-    for &i in &ws.block_rows {
-        ws.block_vecs.push(x.row_sparse(i));
+    let rows = std::iter::once(row).chain(ws.candidates.iter().map(|&(_, i)| i));
+    for (v, i) in ws.block_vecs.iter_mut().zip(rows) {
+        v.assign_view(x.row_view_in(i, &mut ws.scratch_a));
     }
     ws.block_out.clear();
     ws.block_out.resize(n * b, 0.0);
     *smsv_count += b as u64;
-    x.smsv_block(&ws.block_vecs, &mut ws.block_out, &mut ws.smsv_ws);
-    // Insert prefetched rows first and the target row *last*, so the
-    // prefetches can never evict the row this iteration actually needs.
-    for bi in (0..b).rev() {
-        let i = ws.block_rows[bi];
-        let chunk = &mut ws.block_out[bi * n..(bi + 1) * n];
+    x.smsv_block(&ws.block_vecs[..b], &mut ws.block_out, &mut ws.smsv_ws);
+    let (missed, prefetched) = ws.block_out.split_at_mut(n);
+    for (chunk, &(_, i)) in prefetched.chunks_exact_mut(n).zip(&ws.candidates) {
         params.kernel.apply_row(chunk, norms_sq, norms_sq[i]);
-        cache.insert(i, chunk.to_vec());
+        cache.insert(i, chunk);
     }
-    dest.copy_from_slice(&ws.block_out[..n]);
+    // Inserted last, the missed row is the most recently used.
+    params.kernel.apply_row(missed, norms_sq, norms_sq[row]);
+    cache.insert(row, missed);
+    dest.copy_from_slice(missed);
 }
 
 /// K(X_j, X_j) for the second-order rule without materialising row j.
@@ -1123,6 +1137,82 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Overlapping 2-D clusters: slow to converge, so the working set
+    /// cycles through many distinct rows.
+    fn overlapping(n: usize) -> (CsrMatrix, Vec<Scalar>) {
+        let mut t = TripletMatrix::new(n, 2);
+        let mut y = Vec::with_capacity(n);
+        for i in 0..n {
+            let sign = if i % 2 == 0 { 1.0 } else { -1.0 };
+            let jitter = (i as f64 * 0.77).sin();
+            t.push(i, 0, sign * 0.5 + jitter * 0.9);
+            t.push(i, 1, (i as f64 * 0.31).cos());
+            y.push(sign);
+        }
+        (CsrMatrix::from_triplets(&t.compact()), y)
+    }
+
+    /// Gaussian SMO on [`overlapping`] with a cache of `rows` kernel rows.
+    fn low_cache_params(n: usize, rows: usize) -> SmoParams {
+        SmoParams {
+            kernel: KernelKind::Gaussian { gamma: 0.7 },
+            c: 10.0,
+            tolerance: 1e-6,
+            cache_bytes: rows * n * std::mem::size_of::<Scalar>(),
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn blocked_prefetch_trains_identically_with_a_small_cache() {
+        use dls_sparse::{AnyMatrix, Format};
+        let n = 48;
+        let (csr, y) = overlapping(n);
+        let t = csr.to_triplets().compact();
+        let base = low_cache_params(n, 5);
+        let (reference, ref_stats) = train_with_stats(&csr, &y, &base).unwrap();
+        assert!(ref_stats.iterations > 50, "problem too easy to exercise eviction");
+        let decisions = |m: &SvmModel| -> Vec<u64> {
+            (0..n).map(|i| m.decision_function(&csr.row_sparse(i)).to_bits()).collect()
+        };
+        let expect = decisions(&reference);
+        for block_size in [1, 2, 4, 32] {
+            let params = SmoParams { block_size, ..base };
+            for fmt in Format::ALL {
+                let m = AnyMatrix::from_triplets(fmt, &t);
+                let (model, stats) = train_with_stats(&m, &y, &params).unwrap();
+                assert_eq!(stats.iterations, ref_stats.iterations, "{fmt} b={block_size}");
+                assert_eq!(
+                    model.bias().to_bits(),
+                    reference.bias().to_bits(),
+                    "{fmt} b={block_size}"
+                );
+                assert_eq!(decisions(&model), expect, "{fmt} b={block_size}");
+            }
+        }
+    }
+
+    #[test]
+    fn prefetch_never_evicts() {
+        let n = 48;
+        let (x, y) = overlapping(n);
+        let params = SmoParams { block_size: 32, ..low_cache_params(n, 5) };
+        let mut state = SmoState::new(&x, &y, &params).unwrap();
+        while state.cache.free_slots() > 0 {
+            assert!(state.can_continue(&params), "converged before the cache filled");
+            state.run_segment(&x, &params, 1);
+        }
+        let (misses, rows) = (state.cache.misses(), state.smsv_count);
+        // Filling the cache took fewer misses than rows: the prefetch ran.
+        assert!(rows > misses, "{rows} rows for {misses} misses while filling");
+        let rep = state.run_segment(&x, &params, 200);
+        let new_misses = state.cache.misses() - misses;
+        assert!(rep.iterations > 0 && new_misses > 0, "no misses to check");
+        // With no free slot, every miss computes exactly the missed row.
+        assert_eq!(rep.smsv_count, new_misses);
+        assert_eq!(state.smsv_count - rows, new_misses);
     }
 
     #[test]

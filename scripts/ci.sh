@@ -13,6 +13,15 @@ cargo build --release
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace
 
+echo "==> perfbench tests (the benchmark's own arithmetic)"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> perfbench training smoke (exit 1 = a trained model differs from the fixed-CSR oracle)"
+for workload in train-lowcache train-cached; do
+  cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1
+done
+
 echo "==> learned-selector smoke (train + inspect + schedule with it)"
 model="$(mktemp -t dls_selector_XXXXXX.json)"
 trap 'rm -f "$model"' EXIT
