@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Mirrors dls-svm's solver conventions (paper-shaped conditions, parallel
 // array loops).

@@ -255,10 +255,9 @@ fn hostile_client(seed: u64, frames: usize, frontend: Frontend, tally: &mut Tall
     let addr = handle.local_addr();
     let mut rng = SplitMix64::new(seed ^ 0x0571_1E11);
 
-    let valid = dls_serve::proto::encode_request_version(
-        &Request::from(&PredictRequest::builder("m").vector(query(1)).build()),
-        dls_serve::PROTO_VERSION,
-    );
+    let valid = dls_serve::proto::encode_request(&Request::from(
+        &PredictRequest::builder("m").vector(query(1)).build(),
+    ));
     for _ in 0..frames {
         let mut stream = std::net::TcpStream::connect(addr).expect("connect hostile");
         stream.set_read_timeout(Some(Duration::from_millis(500))).ok();

@@ -64,7 +64,6 @@ fn main() {
         },
         tree,
         blocks: None,
-        ensemble: None,
     };
     println!(
         "trained on {} samples ({} measured, {} fallback, {} analytic); \

@@ -8,16 +8,15 @@
 //! CSR/COO near peak while wide-SIMD/SIMT machines favour the regular
 //! formats — so a CART frozen at training time carries the *training*
 //! machine's format ranking to the test machine. The online path instead
-//! sees production sweeps measured under the test machine's oracle,
-//! retrains, and (second cycle) plateaus into the bagged forest. Both are
-//! graded on held-out grid matrices the retrainer never fit, under the
-//! test machine's oracle: agreement with its winner and regret (how much
-//! slower the pick is than that winner).
+//! sees production sweeps measured under the test machine's oracle and
+//! retrains. Both are graded on held-out grid matrices the retrainer never
+//! fit, under the test machine's oracle: agreement with its winner and
+//! regret (how much slower the pick is than that winner).
 //!
 //! Usage: `repro_selector_online [--quick] [--check] [--seed N] [out.json]`
 //! (default out: `BENCH_selector.json`). `--check` exits non-zero unless
-//! online and ensemble mean regret are no worse than the frozen CART's on
-//! every cross-machine pair.
+//! online mean regret is no worse than the frozen CART's on every
+//! cross-machine pair.
 
 use dls_core::json::JsonValue;
 use dls_core::{LayoutScheduler, SelectionStrategy};
@@ -34,7 +33,6 @@ const TRAIN_PLATFORM: &str = "8-core CPU";
 struct PairResult {
     test_platform: &'static str,
     rows: Vec<EvalSummary>,
-    ensemble_size: usize,
 }
 
 fn main() {
@@ -120,10 +118,7 @@ fn main() {
             })
             .collect();
 
-        // Cycle 1 publishes a fresh tree; cycle 2 sees no accuracy gain
-        // over it and plateaus into the bagged forest.
-        let first = retrain_online(&cfg, &observations, None);
-        let second = retrain_online(&cfg, &observations, Some(first.holdout_accuracy));
+        let online = retrain_online(&cfg, &observations);
 
         let grade = |name: &str, picks: Vec<Format>| evaluate(name, &holdout, &picks);
         let rows = vec![
@@ -138,15 +133,13 @@ fn main() {
                     .collect(),
             ),
             grade("frozen", holdout.iter().map(|s| frozen.predict(&s.x)).collect()),
-            grade("online", holdout.iter().map(|s| first.model.predict(&s.x)).collect()),
-            grade("ensemble", holdout.iter().map(|s| second.model.predict(&s.x)).collect()),
+            grade("online", holdout.iter().map(|s| online.model.predict(&s.x)).collect()),
         ];
 
         println!(
-            "## test machine: {} ({} production sweeps, forest of {})",
+            "## test machine: {} ({} production sweeps)",
             test_platform.name,
-            observations.len(),
-            second.model.ensemble_size()
+            observations.len()
         );
         println!(
             "{:<12} {:>5}  {:>10}  {:>12}  {:>11}",
@@ -157,11 +150,7 @@ fn main() {
         }
         println!();
 
-        pairs.push(PairResult {
-            test_platform: test_platform.name,
-            rows,
-            ensemble_size: second.model.ensemble_size(),
-        });
+        pairs.push(PairResult { test_platform: test_platform.name, rows });
     }
 
     let summary_json = |e: &EvalSummary| {
@@ -186,7 +175,6 @@ fn main() {
                     .map(|p| {
                         JsonValue::obj([
                             ("test_platform", JsonValue::from(p.test_platform)),
-                            ("ensemble_size", JsonValue::from(p.ensemble_size as u64)),
                             (
                                 "selectors",
                                 JsonValue::Arr(p.rows.iter().map(summary_json).collect()),
@@ -212,19 +200,16 @@ fn main() {
             let regret_of = |name: &str| {
                 p.rows.iter().find(|r| r.name == name).map(|r| r.mean_regret).unwrap_or(f64::NAN)
             };
-            let frozen_r = regret_of("frozen");
-            for name in ["online", "ensemble"] {
-                let r = regret_of(name);
-                if r.is_nan() || r > frozen_r + 1e-9 {
-                    failures.push(format!(
-                        "{}: {name} mean regret {:.4} > frozen {:.4}",
-                        p.test_platform, r, frozen_r
-                    ));
-                }
+            let (online_r, frozen_r) = (regret_of("online"), regret_of("frozen"));
+            if online_r.is_nan() || online_r > frozen_r + 1e-9 {
+                failures.push(format!(
+                    "{}: online mean regret {online_r:.4} > frozen {frozen_r:.4}",
+                    p.test_platform
+                ));
             }
         }
         if failures.is_empty() {
-            println!("# check: PASS — online/ensemble regret <= frozen on all cross-machine pairs");
+            println!("# check: PASS — online regret <= frozen on all cross-machine pairs");
         } else {
             for f in &failures {
                 eprintln!("# check FAILED: {f}");

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! # dls-learn
@@ -30,10 +31,10 @@
 //! 5. **Online** ([`online`]) — closes the loop: production telemetry
 //!    ([`LabeledObservation`], [`ObservationRing`], JSONL log) feeds
 //!    background retraining ([`retrain_online`]) that merges measured
-//!    production labels with the synthetic grid, upgrades to a bagged
-//!    [`ForestModel`] when a single tree plateaus, and gates low-confidence
-//!    predictions back to the analytic rules ([`HybridSelector`]). The
-//!    serve-side recording/swap half lives in `dls-serve::feedback`.
+//!    production labels with the synthetic grid and refits the one tree,
+//!    and gates low-confidence predictions back to the analytic rules
+//!    ([`HybridSelector`]). The serve-side recording/swap half lives in
+//!    `dls-serve::feedback`.
 
 pub mod block;
 pub mod eval;
@@ -53,8 +54,8 @@ pub use grid::{training_grid, GridCase, GridConfig};
 pub use label::{label_case, LabelMode, LabelSource, LabelledSample};
 pub use online::{
     model_regret, observations_from_reactive, observations_to_samples, parse_jsonl_log,
-    retrain_online, ForestModel, HybridSelector, LabeledObservation, ObservationRing,
-    OnlineOutcome, OnlineTrainConfig, DEFAULT_MIN_CONFIDENCE,
+    retrain_online, HybridSelector, LabeledObservation, ObservationRing, OnlineOutcome,
+    OnlineTrainConfig, DEFAULT_MIN_CONFIDENCE,
 };
 pub use persist::{ModelError, ModelMeta, TrainedModel, MIN_MODEL_VERSION, MODEL_VERSION};
 pub use regress::{RegressNode, RegressParams, RegressionTree};
@@ -143,7 +144,6 @@ pub fn train_selector(cfg: &TrainConfig) -> TrainOutcome {
         },
         tree,
         blocks: Some(blocks),
-        ensemble: None,
     };
     TrainOutcome { model, train, holdout }
 }

@@ -16,12 +16,12 @@
 //!    for formats production actually ran, analytic estimates (rescaled to
 //!    the measured reference) for the rest.
 //! 4. **[`retrain_online`]** — merges production samples with the
-//!    synthetic grid (recency-weighted), refits the CART, and upgrades to
-//!    a bagged [`ForestModel`] when single-tree holdout accuracy plateaus.
+//!    synthetic grid (recency-weighted) and refits the one CART.
 //! 5. **[`HybridSelector`]** — confidence-gated ML+rule selection: the
-//!    learned model decides when its vote margin clears a threshold, the
-//!    paper's analytic rules decide otherwise (cf. SNIPPETS.md
-//!    `MLLoopOptSelector`), with fallback counts for telemetry.
+//!    tree decides when the purity of the leaf it lands in clears a
+//!    threshold, the paper's analytic rules decide otherwise (cf.
+//!    SNIPPETS.md `MLLoopOptSelector`), with fallback counts for
+//!    telemetry.
 //!
 //! The serve-side half (recording site, background thread, regret-guarded
 //! hot swap) lives in `dls-serve::feedback`.
@@ -38,7 +38,6 @@ use dls_core::{
     BandwidthProfile, CostModelSelector, FormatSelector, ReactiveReport, RuleBasedSelector,
     SelectionReport,
 };
-use dls_sparse::telemetry::format_index;
 use dls_sparse::{Format, MatrixFeatures, TripletMatrix};
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -365,92 +364,10 @@ pub fn observations_to_samples(obs: &[LabeledObservation]) -> Vec<LabelledSample
         .collect()
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
-/// A small bagged forest: independent CARTs trained on bootstrap resamples
-/// of the same training set, predicting by majority vote. The vote share of
-/// the winner is the prediction's confidence.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ForestModel {
-    trees: Vec<DecisionTree>,
-}
-
-impl ForestModel {
-    /// Trains `n_trees` trees on deterministic bootstrap resamples
-    /// (seeded by `seed`; tree `k` resamples with stream `seed + k`).
-    pub fn train(
-        xs: &[[f64; NUM_FEATURES]],
-        ys: &[Format],
-        params: TreeParams,
-        n_trees: usize,
-        seed: u64,
-    ) -> Self {
-        assert!(!xs.is_empty(), "cannot train a forest on an empty sample set");
-        let n = xs.len();
-        let trees = (0..n_trees.max(1))
-            .map(|k| {
-                let mut state = seed.wrapping_add(k as u64).wrapping_mul(0x9e3779b97f4a7c15);
-                let mut bx = Vec::with_capacity(n);
-                let mut by = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let i = (splitmix64(&mut state) % n as u64) as usize;
-                    bx.push(xs[i]);
-                    by.push(ys[i]);
-                }
-                DecisionTree::train(&bx, &by, params)
-            })
-            .collect();
-        Self { trees }
-    }
-
-    /// Rebuilds a forest from deserialised trees (used by model loading).
-    pub fn from_trees(trees: Vec<DecisionTree>) -> Self {
-        assert!(!trees.is_empty(), "a forest holds at least one tree");
-        Self { trees }
-    }
-
-    /// The member trees.
-    pub fn trees(&self) -> &[DecisionTree] {
-        &self.trees
-    }
-
-    /// Number of trees.
-    pub fn len(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// Always false — construction requires at least one tree.
-    pub fn is_empty(&self) -> bool {
-        self.trees.is_empty()
-    }
-
-    /// Majority-vote prediction (ties break to the earlier
-    /// [`Format::ALL`] entry).
-    pub fn predict(&self, x: &[f64; NUM_FEATURES]) -> Format {
-        self.predict_with_confidence(x).0
-    }
-
-    /// Majority vote plus the winner's vote share in `[0, 1]`.
-    pub fn predict_with_confidence(&self, x: &[f64; NUM_FEATURES]) -> (Format, f64) {
-        let mut votes = [0usize; Format::ALL.len()];
-        for tree in &self.trees {
-            votes[format_index(tree.predict(x))] += 1;
-        }
-        let best = (0..votes.len()).max_by_key(|&k| votes[k]).expect("non-empty class space");
-        (Format::ALL[best], votes[best] as f64 / self.trees.len() as f64)
-    }
-}
-
 /// Knobs for one online retraining cycle.
 #[derive(Debug, Clone, Copy)]
 pub struct OnlineTrainConfig {
-    /// Seed for grid generation and forest bootstrapping.
+    /// Seed for grid generation.
     pub seed: u64,
     /// Quick (CI-sized) synthetic grid instead of the full one.
     pub quick_grid: bool,
@@ -465,11 +382,6 @@ pub struct OnlineTrainConfig {
     pub production_weight: usize,
     /// Extra multiplier for the most recent half of production samples.
     pub recency_boost: usize,
-    /// Forest size used when the single tree plateaus (clamped to 3..=7).
-    pub ensemble_trees: usize,
-    /// Upgrade to the ensemble when single-tree holdout accuracy fails to
-    /// beat the incumbent's by at least this much.
-    pub plateau_margin: f64,
 }
 
 impl Default for OnlineTrainConfig {
@@ -481,8 +393,6 @@ impl Default for OnlineTrainConfig {
             holdout_stride: 5,
             production_weight: 3,
             recency_boost: 2,
-            ensemble_trees: 5,
-            plateau_margin: 0.005,
         }
     }
 }
@@ -490,16 +400,14 @@ impl Default for OnlineTrainConfig {
 /// Everything one online retraining cycle produces.
 #[derive(Debug, Clone)]
 pub struct OnlineOutcome {
-    /// The candidate model (single tree, or tree + ensemble).
+    /// The candidate model.
     pub model: TrainedModel,
     /// Trusted replay slice: grid samples never seen during fitting. The
     /// swap guard replays candidate and incumbent over this slice, so a
     /// poisoned telemetry log cannot also poison its own acceptance test.
     pub holdout: Vec<LabelledSample>,
-    /// Candidate holdout agreement (of whichever predictor `model` uses).
+    /// Candidate holdout agreement.
     pub holdout_accuracy: f64,
-    /// True when the plateau rule fired and the forest is attached.
-    pub ensemble_used: bool,
     /// Distinct production-derived samples merged into training.
     pub production_samples: usize,
 }
@@ -512,14 +420,12 @@ pub fn model_regret(model: &TrainedModel, name: &str, slice: &[LabelledSample]) 
 
 /// One retraining cycle: synthetic grid (analytic labels, deterministic —
 /// this runs on a background thread, so no timing) merged with production
-/// observations, recency-weighted, refit. When `incumbent_accuracy` is
-/// known and the fresh single tree fails to improve on it by
-/// `plateau_margin`, a bagged forest is trained and attached if it scores
-/// at least as well on the holdout.
+/// observations, recency-weighted, refit. Whether the candidate replaces
+/// the incumbent is the caller's call (the serve side replays both over
+/// [`OnlineOutcome::holdout`]).
 pub fn retrain_online(
     cfg: &OnlineTrainConfig,
     observations: &[LabeledObservation],
-    incumbent_accuracy: Option<f64>,
 ) -> OnlineOutcome {
     let grid_cfg = GridConfig { seed: cfg.seed, quick: cfg.quick_grid, ..Default::default() };
     let cases = training_grid(&grid_cfg);
@@ -560,7 +466,7 @@ pub fn retrain_online(
     }
 
     let tree = DecisionTree::train(&xs, &ys, cfg.params);
-    let tree_model = TrainedModel {
+    let model = TrainedModel {
         meta: ModelMeta {
             seed: cfg.seed,
             grid: "online".into(),
@@ -571,43 +477,15 @@ pub fn retrain_online(
         },
         tree,
         blocks: None,
-        ensemble: None,
     };
-    let tree_accuracy = model_regret(&tree_model, "tree", &holdout).agreement;
-
-    // Plateau rule: a fresh single tree that cannot beat the incumbent is
-    // at the ceiling of what one tree extracts from this data — spend the
-    // extra memory on variance reduction instead.
-    let plateaued =
-        incumbent_accuracy.map(|prev| tree_accuracy <= prev + cfg.plateau_margin).unwrap_or(false);
-    if plateaued {
-        let n_trees = cfg.ensemble_trees.clamp(3, 7);
-        let forest = ForestModel::train(&xs, &ys, cfg.params, n_trees, cfg.seed);
-        let forest_model = TrainedModel { ensemble: Some(forest), ..tree_model.clone() };
-        let forest_accuracy = model_regret(&forest_model, "forest", &holdout).agreement;
-        if forest_accuracy >= tree_accuracy {
-            return OnlineOutcome {
-                model: forest_model,
-                holdout,
-                holdout_accuracy: forest_accuracy,
-                ensemble_used: true,
-                production_samples: n_production,
-            };
-        }
-    }
-    OnlineOutcome {
-        model: tree_model,
-        holdout,
-        holdout_accuracy: tree_accuracy,
-        ensemble_used: false,
-        production_samples: n_production,
-    }
+    let holdout_accuracy = model_regret(&model, "tree", &holdout).agreement;
+    OnlineOutcome { model, holdout, holdout_accuracy, production_samples: n_production }
 }
 
-/// Confidence-gated hybrid selector: the learned model (tree or forest)
-/// decides when its confidence clears `min_confidence`; below that, the
-/// paper's analytic rules decide. Fallback counts are exposed for
-/// telemetry.
+/// Confidence-gated hybrid selector: the learned tree decides when its
+/// confidence — the purity of the leaf the query lands in — clears
+/// `min_confidence`; below that, the paper's analytic rules decide.
+/// Fallback counts are exposed for telemetry.
 #[derive(Debug)]
 pub struct HybridSelector {
     learned: LearnedSelector,
@@ -617,8 +495,8 @@ pub struct HybridSelector {
     fallbacks: AtomicU64,
 }
 
-/// Default confidence gate: a forest of 5 needs a 4-1 vote (or a leaf at
-/// 75% purity) for the learned pick to stand on its own.
+/// Default confidence gate: the tree's leaf must be at least 75% pure for
+/// the learned pick to stand on its own.
 pub const DEFAULT_MIN_CONFIDENCE: f64 = 0.75;
 
 impl HybridSelector {
@@ -679,10 +557,8 @@ impl FormatSelector for HybridSelector {
             report.chosen = format;
             report.block = self.learned.tuned_block(format, f);
             report.reason = format!(
-                "hybrid learned ({}, confidence {confidence:.2} >= {:.2}): {}",
-                if self.model().ensemble.is_some() { "forest" } else { "tree" },
-                self.min_confidence,
-                report.reason,
+                "hybrid learned (confidence {confidence:.2} >= {:.2}): {}",
+                self.min_confidence, report.reason,
             );
             report
         } else {
@@ -834,40 +710,11 @@ mod tests {
     }
 
     #[test]
-    fn forest_is_deterministic_and_votes_sensibly() {
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for k in 0..40 {
-            let mut x = [0.0; NUM_FEATURES];
-            x[3] = k as f64 / 39.0;
-            xs.push(x);
-            ys.push(if x[3] > 0.5 { Format::Den } else { Format::Csr });
-        }
-        let a = ForestModel::train(&xs, &ys, TreeParams::default(), 5, 7);
-        let b = ForestModel::train(&xs, &ys, TreeParams::default(), 5, 7);
-        assert_eq!(a, b, "same seed, same forest");
-        assert_eq!(a.len(), 5);
-        let mut deep = [0.0; NUM_FEATURES];
-        deep[3] = 0.95;
-        let (fmt, conf) = a.predict_with_confidence(&deep);
-        assert_eq!(fmt, Format::Den);
-        assert!(conf >= 0.6, "far from the boundary the vote is strong: {conf}");
-    }
-
-    #[test]
-    fn retrain_merges_production_and_plateau_grows_a_forest() {
+    fn retrain_merges_production_into_the_tree() {
         let cfg = OnlineTrainConfig { quick_grid: true, ..Default::default() };
-        let base = retrain_online(&cfg, &[], None);
-        assert!(base.model.ensemble.is_none(), "no incumbent, no plateau");
+        let base = retrain_online(&cfg, &[]);
         assert!(base.holdout_accuracy > 0.5);
         assert_eq!(base.production_samples, 0);
-
-        // A fresh tree on the same data cannot beat an incumbent already at
-        // its own accuracy — the plateau rule must fire.
-        let upgraded = retrain_online(&cfg, &[], Some(base.holdout_accuracy));
-        assert!(upgraded.ensemble_used, "plateau upgrades to the ensemble");
-        assert_eq!(upgraded.model.ensemble_size(), 5);
-        assert!(upgraded.holdout_accuracy >= base.holdout_accuracy);
 
         // Production observations land in the meta counts.
         let mut observations =
@@ -875,7 +722,7 @@ mod tests {
         for (i, o) in observations.iter_mut().enumerate() {
             o.seq = i as u64;
         }
-        let with_prod = retrain_online(&cfg, &observations, None);
+        let with_prod = retrain_online(&cfg, &observations);
         assert_eq!(with_prod.production_samples, 1);
         assert!(with_prod.model.meta.measured > 0, "production samples counted as measured");
         assert_eq!(with_prod.model.meta.grid, "online");
@@ -885,8 +732,8 @@ mod tests {
     fn retraining_is_deterministic() {
         let cfg = OnlineTrainConfig { quick_grid: true, ..Default::default() };
         let observations = vec![obs(96, 192, Format::Ell, 2_000, 2)];
-        let a = retrain_online(&cfg, &observations, Some(0.99));
-        let b = retrain_online(&cfg, &observations, Some(0.99));
+        let a = retrain_online(&cfg, &observations);
+        let b = retrain_online(&cfg, &observations);
         assert_eq!(a.model, b.model);
         assert_eq!(a.model.to_json(), b.model.to_json());
     }
@@ -894,7 +741,7 @@ mod tests {
     #[test]
     fn hybrid_selector_gates_on_confidence() {
         let cfg = OnlineTrainConfig { quick_grid: true, ..Default::default() };
-        let model = retrain_online(&cfg, &[], None).model;
+        let model = retrain_online(&cfg, &[]).model;
         let t = diag_matrix(128, 128, 256, 2, 1);
         let f = MatrixFeatures::from_triplets(&t);
 

@@ -22,17 +22,17 @@
 //!  "params":{"max_depth":8,"min_leaf":3,"min_gain":1e-9},
 //!  "tree":{"split":{"feature":3,"threshold":0.52,
 //!                   "left":{"leaf":{"format":"CSR","counts":[["CSR",12]]}},
-//!                   "right":...}},
-//!  "ensemble":[<tree>, ...]}
+//!                   "right":...}}}
 //! ```
 //!
-//! Version history: v1 = single tree (+ optional `"blocks"`); v2 adds the
-//! optional `"ensemble"` section (bagged forest, PR 10). v1 documents load
-//! unchanged; this build always writes v2.
+//! Version history: v1 = single tree (+ optional `"blocks"`); v2 added an
+//! optional `"ensemble"` section (a bagged forest). The forest is gone, so
+//! this build ignores that section like any unknown member: a v2 document
+//! that carries one loads as its tree, which is always present. v1
+//! documents load unchanged; this build always writes v2.
 
 use crate::block::BlockModel;
 use crate::features::FEATURE_NAMES;
-use crate::online::ForestModel;
 use crate::regress::{RegressNode, RegressParams, RegressionTree};
 use crate::tree::{DecisionTree, Node, TreeParams};
 use dls_core::json::{escape, number, parse, JsonValue};
@@ -173,16 +173,11 @@ pub struct ModelMeta {
 pub struct TrainedModel {
     /// Training provenance.
     pub meta: ModelMeta,
-    /// The decision tree itself (always present; the ensemble's fallback
-    /// single-tree view).
+    /// The decision tree itself.
     pub tree: DecisionTree,
     /// Learned per-format tuned block sizes; `None` for models trained
     /// before the block-calibration sweep existed.
     pub blocks: Option<BlockModel>,
-    /// Bagged forest upgrade; `None` for single-tree models. When present,
-    /// [`TrainedModel::predict`] votes across the forest and
-    /// [`TrainedModel::predict_with_confidence`] reports the vote share.
-    pub ensemble: Option<ForestModel>,
 }
 
 fn node_json(node: &Node, out: &mut String) {
@@ -388,16 +383,6 @@ impl TrainedModel {
             out.push_str(",\"blocks\":");
             blocks_json(blocks, &mut out);
         }
-        if let Some(forest) = &self.ensemble {
-            out.push_str(",\"ensemble\":[");
-            for (i, tree) in forest.trees().iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                node_json(tree.root(), &mut out);
-            }
-            out.push(']');
-        }
         out.push('}');
         out
     }
@@ -445,23 +430,7 @@ impl TrainedModel {
             Some(b) => Some(parse_blocks(b, "blocks")?),
             None => None,
         };
-        // "ensemble" is optional: v1 documents and single-tree v2 documents
-        // simply have no forest. Ensemble trees share the main `params`.
-        let ensemble = match v.get("ensemble") {
-            Some(e) => {
-                let mut trees = Vec::new();
-                for (i, t) in want_arr(e, "ensemble")?.iter().enumerate() {
-                    let tree_path = format!("ensemble[{i}]");
-                    trees.push(DecisionTree::from_parts(params, parse_node(t, &tree_path)?));
-                }
-                if trees.is_empty() {
-                    return Err(field_err("ensemble", "must hold at least one tree"));
-                }
-                Some(ForestModel::from_trees(trees))
-            }
-            None => None,
-        };
-        Ok(Self { meta, tree: DecisionTree::from_parts(params, root), blocks, ensemble })
+        Ok(Self { meta, tree: DecisionTree::from_parts(params, root), blocks })
     }
 
     /// Writes the model to `path`.
@@ -478,31 +447,18 @@ impl TrainedModel {
         Self::from_json(&doc)
     }
 
-    /// Number of trees voting: ensemble size, or 1 for single-tree models.
-    pub fn ensemble_size(&self) -> usize {
-        self.ensemble.as_ref().map(|f| f.len()).unwrap_or(1)
-    }
-
-    /// Predicted format: forest majority vote when an ensemble is present,
-    /// the single tree otherwise.
+    /// Predicted format.
     pub fn predict(&self, x: &[f64; crate::features::NUM_FEATURES]) -> Format {
-        match &self.ensemble {
-            Some(forest) => forest.predict(x),
-            None => self.tree.predict(x),
-        }
+        self.tree.predict(x)
     }
 
-    /// Prediction plus a confidence in `[0, 1]`: the forest's winning vote
-    /// share, or the single tree's leaf purity (majority-class fraction of
-    /// the leaf's training histogram).
+    /// Prediction plus a confidence in `[0, 1]`: the leaf purity
+    /// (majority-class fraction of the leaf's training histogram).
     pub fn predict_with_confidence(
         &self,
         x: &[f64; crate::features::NUM_FEATURES],
     ) -> (Format, f64) {
-        match &self.ensemble {
-            Some(forest) => forest.predict_with_confidence(x),
-            None => self.tree.predict_with_confidence(x),
-        }
+        self.tree.predict_with_confidence(x)
     }
 }
 
@@ -539,7 +495,6 @@ mod tests {
             },
             tree,
             blocks: None,
-            ensemble: None,
         }
     }
 
@@ -559,20 +514,6 @@ mod tests {
             }
         }
         TrainedModel { blocks: Some(BlockModel::train(&samples)), ..sample_model() }
-    }
-
-    fn sample_model_with_ensemble() -> TrainedModel {
-        let base = sample_model();
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for k in 0..24 {
-            let mut x = [0.0; NUM_FEATURES];
-            x[3] = k as f64 / 23.0;
-            xs.push(x);
-            ys.push(if x[3] > 0.5 { Format::Den } else { Format::Csr });
-        }
-        let forest = ForestModel::train(&xs, &ys, base.tree.params(), 3, 42);
-        TrainedModel { ensemble: Some(forest), ..base }
     }
 
     #[test]
@@ -604,19 +545,17 @@ mod tests {
     }
 
     #[test]
-    fn ensemble_round_trips_and_votes_identically() {
-        let model = sample_model_with_ensemble();
+    fn documents_with_an_ensemble_section_load_as_their_tree() {
+        // Documents written while the bagged forest existed carry an
+        // "ensemble" array of trees after the main tree. The section is now
+        // ignored like any unknown member; the model is the main tree.
+        let model = sample_model();
         let doc = model.to_json();
-        assert!(doc.contains("\"ensemble\":["), "forest persisted");
-        let restored = TrainedModel::from_json(&doc).unwrap();
+        let node = &doc[doc.find("\"tree\":").unwrap() + "\"tree\":".len()..doc.len() - 1];
+        let with_forest = format!("{},\"ensemble\":[{node},{node}]}}", &doc[..doc.len() - 1]);
+        let restored = TrainedModel::from_json(&with_forest).unwrap();
         assert_eq!(restored, model);
-        assert_eq!(restored.to_json(), doc, "serialisation is canonical");
-        assert_eq!(restored.ensemble_size(), 3);
-        for k in 0..50 {
-            let mut x = [0.0; NUM_FEATURES];
-            x[3] = k as f64 / 49.0;
-            assert_eq!(model.predict_with_confidence(&x), restored.predict_with_confidence(&x));
-        }
+        assert_eq!(restored.to_json(), doc, "re-saving drops the section");
     }
 
     #[test]
@@ -691,8 +630,7 @@ mod tests {
         let model = sample_model();
         let v1 = model.to_json().replacen("\"version\":2", "\"version\":1", 1);
         let restored = TrainedModel::from_json(&v1).unwrap();
-        assert_eq!(restored.tree, model.tree);
-        assert!(restored.ensemble.is_none());
+        assert_eq!(restored, model);
     }
 
     #[test]

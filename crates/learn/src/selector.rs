@@ -39,8 +39,6 @@ impl LearnedSelector {
     }
 
     /// Predicted format for raw features, without building a report.
-    /// Ensemble-aware: forest models vote, single-tree models walk the
-    /// tree.
     pub fn predict(&self, f: &MatrixFeatures) -> Format {
         self.model.predict(&featurize(f))
     }
@@ -60,16 +58,7 @@ impl FormatSelector for LearnedSelector {
     fn select(&self, t: &TripletMatrix, f: &MatrixFeatures) -> SelectionReport {
         let _ = t;
         let x = featurize(f);
-        let (chosen, path) = match &self.model.ensemble {
-            // Forest models vote; the explanation is the vote tally rather
-            // than one tree's path.
-            Some(forest) => {
-                let (chosen, confidence) = forest.predict_with_confidence(&x);
-                let votes = (confidence * forest.len() as f64).round() as usize;
-                (chosen, format!("forest vote {votes}/{} for {chosen}", forest.len()))
-            }
-            None => self.model.tree.explain(&x, &FEATURE_NAMES),
-        };
+        let (chosen, path) = self.model.tree.explain(&x, &FEATURE_NAMES);
         // The tree emits a class, not per-format scores; attach the flat
         // storage model's predicted times so downstream consumers (regret
         // reports, telemetry) still see a full ranking. The *chosen* format
@@ -122,7 +111,6 @@ mod tests {
             },
             tree,
             blocks: None,
-            ensemble: None,
         }
     }
 

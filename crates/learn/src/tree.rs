@@ -146,8 +146,7 @@ impl DecisionTree {
     }
 
     /// Prediction plus a confidence in `[0, 1]`: the majority-class share
-    /// of the reached leaf's training histogram (1.0 for a pure leaf). The
-    /// single-tree analogue of a forest's vote margin.
+    /// of the reached leaf's training histogram (1.0 for a pure leaf).
     pub fn predict_with_confidence(&self, x: &[f64; NUM_FEATURES]) -> (Format, f64) {
         let mut node = &self.root;
         loop {

@@ -114,7 +114,6 @@ proptest! {
             },
             tree,
             blocks: None,
-            ensemble: None,
         };
         let doc = model.to_json();
         let restored = TrainedModel::from_json(&doc).expect("own output must parse");

@@ -25,11 +25,9 @@
 //! # let _ = resp; Ok::<(), std::io::Error>(())
 //! ```
 //!
-//! The client speaks protocol v2 by default;
-//! [`ServeClient::set_protocol_version`] downgrades the wire encoding to
-//! v1 for compatibility testing against old servers (class and SLO are
-//! then dropped from `Predict` frames — the server treats such requests
-//! as interactive with the legacy deadline).
+//! Every client speaks protocol v3 ([`PROTO_VERSION`]), the only version
+//! the server accepts. [`ServeClient`] sends frame id 0 and waits for each
+//! answer; [`PipelinedClient`] numbers its frames and keeps many in flight.
 //!
 //! Failures are typed: [`ServeClient::try_request`] returns a
 //! [`ClientError`] that distinguishes a lost connection from a timeout
@@ -40,9 +38,8 @@
 
 use crate::fault::SplitMix64;
 use crate::proto::{
-    decode_response, decode_response_framed, encode_request_framed, encode_request_version,
-    proto_error_of, read_frame, write_frame, ProtoError, Request, RequestClass, Response,
-    ACCEPTED_VERSIONS, PROTO_VERSION,
+    decode_response, decode_response_framed, encode_request, encode_request_framed, proto_error_of,
+    read_frame, write_frame, ProtoError, Request, RequestClass, Response, PROTO_VERSION,
 };
 use dls_sparse::SparseVec;
 use std::collections::VecDeque;
@@ -302,35 +299,14 @@ impl From<&ScheduleRequest> for Request {
 pub struct ServeClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
-    version: u8,
 }
 
 impl ServeClient {
-    /// Connects to a server (speaking the current protocol version).
+    /// Connects to a server.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        Ok(Self {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: BufWriter::new(stream),
-            version: PROTO_VERSION,
-        })
-    }
-
-    /// Selects the wire protocol version for subsequent requests (v1
-    /// drops class/SLO from `Predict` frames). Errors on versions this
-    /// client does not speak.
-    pub fn set_protocol_version(&mut self, version: u8) -> Result<(), String> {
-        if !ACCEPTED_VERSIONS.contains(&version) {
-            return Err(format!("unsupported protocol version {version}"));
-        }
-        self.version = version;
-        Ok(())
-    }
-
-    /// The wire protocol version in effect.
-    pub fn protocol_version(&self) -> u8 {
-        self.version
+        Ok(Self { reader: BufReader::new(stream.try_clone()?), writer: BufWriter::new(stream) })
     }
 
     /// Bounds how long a single [`ServeClient::request`] may wait on the
@@ -346,7 +322,7 @@ impl ServeClient {
     /// [`ClientError::Protocol`] (this connection is no longer
     /// frame-aligned and should be dropped).
     pub fn try_request(&mut self, req: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.writer, &encode_request_version(req, self.version))
+        write_frame(&mut self.writer, &encode_request(req))
             .map_err(|e| ClientError::from_io(e, "sending the request"))?;
         match read_frame(&mut self.reader)
             .map_err(|e| ClientError::from_io(e, "reading the response"))?
@@ -375,36 +351,6 @@ impl ServeClient {
         Request: From<R>,
     {
         self.request(&Request::from(req))
-    }
-
-    /// Decision values for a batch of vectors against a named model.
-    /// `deadline_ms = 0` uses the server default.
-    #[deprecated(since = "0.6.0", note = "build a `PredictRequest` and use `send`")]
-    pub fn predict(
-        &mut self,
-        model: &str,
-        vectors: Vec<SparseVec>,
-        deadline_ms: u32,
-    ) -> std::io::Result<Response> {
-        self.request(&Request::Predict {
-            model: model.to_string(),
-            deadline_ms,
-            class: RequestClass::Interactive,
-            slo_us: 0,
-            vectors,
-        })
-    }
-
-    /// Asks the scheduler to pick a layout for an explicit matrix.
-    #[deprecated(since = "0.6.0", note = "build a `ScheduleRequest` and use `send`")]
-    pub fn schedule(
-        &mut self,
-        strategy: &str,
-        rows: u64,
-        cols: u64,
-        entries: Vec<(u64, u64, f64)>,
-    ) -> std::io::Result<Response> {
-        self.request(&Request::Schedule { strategy: strategy.to_string(), rows, cols, entries })
     }
 
     /// Fetches the telemetry snapshot JSON.
@@ -448,8 +394,7 @@ pub struct PipelinedClient {
 }
 
 impl PipelinedClient {
-    /// Connects. Pipelining requires protocol v3, so there is no version
-    /// knob — use [`ServeClient`] for compatibility testing.
+    /// Connects.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
@@ -592,7 +537,6 @@ impl RetryPolicy {
 pub struct RetryClient {
     addr: String,
     policy: RetryPolicy,
-    version: u8,
     read_timeout: Option<Duration>,
     rng: SplitMix64,
     budget_left: u32,
@@ -611,28 +555,7 @@ impl RetryClient {
     pub fn with_policy(addr: impl Into<String>, policy: RetryPolicy) -> Self {
         let rng = SplitMix64::new(policy.seed);
         let budget_left = policy.retry_budget;
-        Self {
-            addr: addr.into(),
-            policy,
-            version: PROTO_VERSION,
-            read_timeout: None,
-            rng,
-            budget_left,
-            conn: None,
-        }
-    }
-
-    /// Selects the wire protocol version (applies to the current and all
-    /// future connections).
-    pub fn set_protocol_version(&mut self, version: u8) -> Result<(), String> {
-        if !ACCEPTED_VERSIONS.contains(&version) {
-            return Err(format!("unsupported protocol version {version}"));
-        }
-        self.version = version;
-        if let Some(conn) = &mut self.conn {
-            conn.set_protocol_version(version)?;
-        }
-        Ok(())
+        Self { addr: addr.into(), policy, read_timeout: None, rng, budget_left, conn: None }
     }
 
     /// Bounds how long each attempt waits on the socket for its response
@@ -661,8 +584,6 @@ impl RetryClient {
             client
                 .set_read_timeout(self.read_timeout)
                 .map_err(|e| ClientError::from_io(e, "configuring the socket"))?;
-            let mut client = client;
-            client.set_protocol_version(self.version).map_err(ClientError::Protocol)?;
             self.conn = Some(client);
         }
         Ok(self.conn.as_mut().expect("connection just established"))

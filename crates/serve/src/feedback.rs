@@ -10,9 +10,9 @@
 //!    oldest entry is overwritten and counted).
 //! 2. **Retraining** — a low-priority background thread periodically
 //!    drains the ring and runs [`retrain_online`]: synthetic grid plus
-//!    recency-weighted production labels, with the bagged-forest upgrade
-//!    when a single tree plateaus. [`FeedbackHub::force_retrain`] runs one
-//!    cycle synchronously for tests and the CI smoke.
+//!    recency-weighted production labels, refit into one CART.
+//!    [`FeedbackHub::force_retrain`] runs one cycle synchronously for
+//!    tests and the CI smoke.
 //! 3. **Swap with a regret guard** — the candidate and the incumbent are
 //!    both replayed over the *trusted* grid holdout (analytic labels the
 //!    telemetry log cannot influence, so a poisoned log cannot also poison
@@ -49,7 +49,7 @@ pub struct FeedbackConfig {
     pub min_observations: usize,
     /// Background retrain period.
     pub interval: Duration,
-    /// Retraining knobs (grid size, weights, plateau/forest policy). The
+    /// Retraining knobs (grid size, seed, production weights). The
     /// serve default uses the quick grid so a cycle stays cheap enough for
     /// a low-priority thread.
     pub train: OnlineTrainConfig,
@@ -91,8 +91,6 @@ pub enum RetrainOutcome {
     Accepted {
         /// New active model version (the swap generation).
         version: u64,
-        /// Trees in the published model (1 = single CART).
-        ensemble_size: usize,
         /// Candidate agreement on the trusted holdout.
         holdout_accuracy: f64,
         /// Candidate mean regret on the replay slice.
@@ -109,14 +107,6 @@ pub enum RetrainOutcome {
         /// Incumbent mean regret it failed to beat.
         incumbent_regret: f64,
     },
-}
-
-/// The incumbent model the guard defends.
-struct Incumbent {
-    model: TrainedModel,
-    /// Holdout accuracy, when it came out of a retrain cycle (drives the
-    /// plateau rule); `None` for a preloaded offline model.
-    accuracy: Option<f64>,
 }
 
 /// `last_retrain` gauge values (also the wire encoding in the stats JSON).
@@ -142,7 +132,8 @@ pub struct FeedbackHub {
     /// telemetry can read its fallback counters; `None` until the first
     /// model is published.
     active: Mutex<Option<Arc<HybridSelector>>>,
-    incumbent: Mutex<Option<Incumbent>>,
+    /// The model the regret guard defends; `None` while the rules serve.
+    incumbent: Mutex<Option<TrainedModel>>,
     retrains_accepted: AtomicU64,
     retrains_rolled_back: AtomicU64,
     last_outcome: AtomicU64,
@@ -168,14 +159,12 @@ impl FeedbackHub {
         let (initial, active, incumbent): (
             Arc<dyn FormatSelector>,
             Option<Arc<HybridSelector>>,
-            Option<Incumbent>,
+            Option<TrainedModel>,
         ) = match config.initial_model.clone() {
             Some(model) => {
                 let hybrid =
                     Arc::new(HybridSelector::with_confidence(model.clone(), config.min_confidence));
-                (Arc::clone(&hybrid) as Arc<dyn FormatSelector>, Some(hybrid), {
-                    Some(Incumbent { model, accuracy: None })
-                })
+                (Arc::clone(&hybrid) as Arc<dyn FormatSelector>, Some(hybrid), Some(model))
             }
             None => (Arc::new(RuleBasedSelector::for_host()), None, None),
         };
@@ -210,16 +199,6 @@ impl FeedbackHub {
     /// selector, bumped by every accepted retrain).
     pub fn version(&self) -> u64 {
         self.swap.generation()
-    }
-
-    /// Trees in the live model: 0 while the analytic rules serve, 1 for a
-    /// single CART, 3..=7 for a bagged forest.
-    pub fn ensemble_size(&self) -> usize {
-        self.active
-            .lock()
-            .expect("feedback hub poisoned")
-            .as_ref()
-            .map_or(0, |h| h.model().ensemble_size())
     }
 
     /// (decisions, rule fallbacks) of the live hybrid; zeros while the
@@ -272,9 +251,7 @@ impl FeedbackHub {
             return RetrainOutcome::Skipped { buffered: self.ring.len() };
         }
         let observations = self.ring.drain();
-        let incumbent_accuracy =
-            self.incumbent.lock().expect("feedback hub poisoned").as_ref().and_then(|i| i.accuracy);
-        let outcome = retrain_online(&self.config.train, &observations, incumbent_accuracy);
+        let outcome = retrain_online(&self.config.train, &observations);
 
         // The regret guard replays both models over the trusted holdout —
         // synthetic grid cells with analytic labels, untouchable by the
@@ -284,7 +261,7 @@ impl FeedbackHub {
         let mut incumbent = self.incumbent.lock().expect("feedback hub poisoned");
         let incumbent_regret = incumbent
             .as_ref()
-            .map(|i| model_regret(&i.model, "incumbent", &outcome.holdout).mean_regret);
+            .map(|model| model_regret(model, "incumbent", &outcome.holdout).mean_regret);
         if let Some(inc) = incumbent_regret {
             if candidate_regret > inc {
                 self.retrains_rolled_back.fetch_add(1, Ordering::Relaxed);
@@ -293,20 +270,17 @@ impl FeedbackHub {
             }
         }
 
-        let ensemble_size = outcome.model.ensemble_size();
         let hybrid = Arc::new(HybridSelector::with_confidence(
             outcome.model.clone(),
             self.config.min_confidence,
         ));
         let version = self.swap.swap(Arc::clone(&hybrid) as Arc<dyn FormatSelector>);
         *self.active.lock().expect("feedback hub poisoned") = Some(hybrid);
-        *incumbent =
-            Some(Incumbent { model: outcome.model, accuracy: Some(outcome.holdout_accuracy) });
+        *incumbent = Some(outcome.model);
         self.retrains_accepted.fetch_add(1, Ordering::Relaxed);
         self.last_outcome.store(OUTCOME_ACCEPTED, Ordering::Relaxed);
         RetrainOutcome::Accepted {
             version,
-            ensemble_size,
             holdout_accuracy: outcome.holdout_accuracy,
             candidate_regret,
             incumbent_regret,
@@ -364,7 +338,6 @@ impl FeedbackHub {
         let s = &stats.selector;
         let (decisions, fallbacks) = self.hybrid_counts();
         s.active_version.store(self.version(), Ordering::Relaxed);
-        s.ensemble_size.store(self.ensemble_size() as u64, Ordering::Relaxed);
         s.decisions.store(decisions, Ordering::Relaxed);
         s.fallbacks.store(fallbacks, Ordering::Relaxed);
         s.observations.store(self.ring.total_appended(), Ordering::Relaxed);
@@ -415,16 +388,13 @@ mod tests {
     fn first_retrain_is_accepted_and_bumps_the_version() {
         let hub = FeedbackHub::new(quick_config());
         assert_eq!(hub.version(), 1, "rules serve as generation 1");
-        assert_eq!(hub.ensemble_size(), 0, "no learned model yet");
+        assert!(hub.active.lock().unwrap().is_none(), "no learned model yet");
         match hub.force_retrain() {
-            RetrainOutcome::Accepted { version, ensemble_size, .. } => {
-                assert_eq!(version, 2);
-                assert_eq!(ensemble_size, 1, "first model is a single tree");
-            }
+            RetrainOutcome::Accepted { version, .. } => assert_eq!(version, 2),
             other => panic!("expected acceptance, got {other:?}"),
         }
         assert_eq!(hub.version(), 2);
-        assert_eq!(hub.ensemble_size(), 1);
+        assert!(hub.active.lock().unwrap().is_some(), "the tree is live");
         assert_eq!(retrain_outcome_name(OUTCOME_ACCEPTED), "accepted");
     }
 
@@ -482,24 +452,19 @@ mod tests {
         );
     }
 
-    /// The plateau rule end to end: a second cycle over the same data
-    /// cannot beat the incumbent's accuracy, so the retrainer upgrades to
-    /// the bagged forest and publishes it.
+    /// A second cycle over the same data refits the same tree: its replay
+    /// regret ties the incumbent's, and a tie is published.
     #[test]
-    fn plateau_upgrades_to_the_forest_on_the_second_cycle() {
+    fn a_tie_on_the_replay_slice_is_accepted() {
         let hub = FeedbackHub::new(quick_config());
         assert!(matches!(hub.force_retrain(), RetrainOutcome::Accepted { .. }));
         match hub.force_retrain() {
-            RetrainOutcome::Accepted { version, ensemble_size, .. } => {
+            RetrainOutcome::Accepted { version, candidate_regret, incumbent_regret, .. } => {
                 assert_eq!(version, 3);
-                assert!(
-                    (3..=7).contains(&ensemble_size),
-                    "plateaued cycle should publish a forest, got {ensemble_size}"
-                );
+                assert_eq!(Some(candidate_regret), incumbent_regret);
             }
             other => panic!("expected acceptance, got {other:?}"),
         }
-        assert!((3..=7).contains(&hub.ensemble_size()));
     }
 
     #[test]
@@ -527,7 +492,7 @@ mod tests {
             ..quick_config()
         });
         assert_eq!(hub.version(), 1);
-        assert_eq!(hub.ensemble_size(), 1, "preloaded tree is live before any retrain");
+        assert!(hub.active.lock().unwrap().is_some(), "preloaded tree is live before any retrain");
         // A clean retrain still gets through the guard (equal or better
         // regret on the shared holdout).
         assert!(matches!(

@@ -2,58 +2,39 @@
 //!
 //! Every message is one frame: a 4-byte little-endian payload length
 //! followed by the payload. The payload starts with a one-byte protocol
-//! version and a one-byte message tag; the body is a flat LE encoding of
-//! the message fields (no self-description — both ends share this module).
+//! version, a frame id and a one-byte message tag; the body is a flat LE
+//! encoding of the message fields (no self-description — both ends share
+//! this module).
 //!
 //! ```text
-//! frame      := u32 len | payload            len = payload bytes, <= MAX_FRAME_LEN
-//! payload v3 := u8 version | u64 frame_id | u8 tag | body
-//! payload v1/v2 := u8 version | u8 tag | body
-//! string     := u32 len | utf-8 bytes
-//! vec<T>     := u32 count | T*count
-//! sparse     := u64 dim | vec<u64> indices | vec<f64> values (parallel arrays)
+//! frame   := u32 len | payload            len = payload bytes, <= MAX_FRAME_LEN
+//! payload := u8 version | u64 frame_id | u8 tag | body
+//! string  := u32 len | utf-8 bytes
+//! vec<T>  := u32 count | T*count
+//! sparse  := u64 dim | vec<u64> indices | vec<f64> values (parallel arrays)
+//! Predict := string model | u32 deadline_ms | u8 class | u32 slo_us | vec<sparse>
 //! ```
 //!
-//! **Versioning.** Three versions are live. v3 (current) prefixes every
-//! message with a `frame_id` so one connection can *pipeline* many
-//! in-flight requests: the server echoes the id on the matching response,
-//! which may arrive out of order. v2 added a request class and a
-//! per-request SLO on `Predict`:
-//!
-//! ```text
-//! Predict v2/v3 := string model | u32 deadline_ms | u8 class | u32 slo_us | vec<sparse>
-//! Predict v1    := string model | u32 deadline_ms | vec<sparse>
-//! ```
-//!
-//! v1 frames decode as [`RequestClass::Interactive`] with `slo_us = 0`
-//! (meaning: fall back to the legacy deadline, then the server's per-class
-//! default), and v1/v2 frames decode with `frame_id = 0` and are served
-//! one-in-flight, so old clients keep working against a v3 server; the
-//! server answers each request with the version it arrived in, so old
-//! clients also keep *decoding*. All other message bodies are identical
-//! across versions.
+//! **Versioning.** One version is live: [`PROTO_VERSION`] (v3). The
+//! `frame_id` lets one connection *pipeline* many in-flight requests: the
+//! server echoes the id on the matching response, which may arrive out of
+//! order. Any other version byte decodes to [`ProtoError::BadVersion`],
+//! which the server answers with a typed error and keeps the connection.
 //!
 //! The decoder is total: truncated, oversized, or malformed input yields a
 //! [`ProtoError`], never a panic, and claimed element counts are checked
 //! against the bytes actually present before any allocation is sized from
 //! them — a frame cannot make the server allocate more than it sent.
+//! Values must be finite: a NaN or infinity in a `Predict` vector or a
+//! `Schedule` entry is [`ProtoError::Malformed`], because some storage
+//! formats would turn it into a different answer than others.
 
 use dls_sparse::{SparseVec, TripletMatrix};
 use std::io::{Read, Write};
 
-/// Current protocol version byte; bumped on any incompatible change.
-/// v3 frames carry a `frame_id` for pipelined, out-of-order responses.
+/// The protocol version byte; bumped on any incompatible change. v3
+/// frames carry a `frame_id` for pipelined, out-of-order responses.
 pub const PROTO_VERSION: u8 = 3;
-
-/// The legacy protocol version (no request classes / SLOs on the wire).
-pub const PROTO_V1: u8 = 1;
-
-/// The first version with request classes / SLOs on the wire (but no
-/// `frame_id`: one request in flight per connection).
-pub const PROTO_V2: u8 = 2;
-
-/// Every version this module can decode.
-pub const ACCEPTED_VERSIONS: [u8; 3] = [PROTO_V1, PROTO_V2, PROTO_VERSION];
 
 /// The traffic class a predict request belongs to. Classes are the unit
 /// SLOs attach to: interactive requests expect sub-millisecond-to-
@@ -61,7 +42,7 @@ pub const ACCEPTED_VERSIONS: [u8; 3] = [PROTO_V1, PROTO_V2, PROTO_VERSION];
 /// throughput. The queue disciplines in `serve::discipline` key on this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RequestClass {
-    /// Latency-sensitive traffic (the default, and what v1 frames map to).
+    /// Latency-sensitive traffic (the default).
     #[default]
     Interactive = 0,
     /// Throughput-oriented scoring jobs with a lenient SLO.
@@ -117,10 +98,6 @@ impl std::str::FromStr for RequestClass {
 /// length from a hostile peer cannot trigger a huge allocation.
 pub const MAX_FRAME_LEN: usize = 16 << 20;
 
-/// Former name of [`MAX_FRAME_LEN`].
-#[deprecated(note = "renamed to MAX_FRAME_LEN")]
-pub const MAX_FRAME: usize = MAX_FRAME_LEN;
-
 /// Everything that can go wrong turning bytes into messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtoError {
@@ -133,7 +110,7 @@ pub enum ProtoError {
     /// Unknown message tag for the expected direction.
     BadTag(u8),
     /// A field held an invalid value (bad UTF-8, unsorted sparse indices,
-    /// out-of-range dimension, trailing bytes, …).
+    /// out-of-range dimension, a non-finite value, trailing bytes, …).
     Malformed(&'static str),
 }
 
@@ -158,13 +135,12 @@ pub enum Request {
     Predict {
         /// Registry name of the model to query.
         model: String,
-        /// Legacy per-request deadline in milliseconds from arrival; `0`
-        /// means unset. Kept for v1 compatibility — when `slo_us` is set
-        /// it wins. Requests still queued past their effective deadline
-        /// get [`Response::TimedOut`] instead of occupying a worker.
+        /// Coarse per-request deadline in milliseconds from arrival; `0`
+        /// means unset. When `slo_us` is set it wins. Requests still
+        /// queued past their effective deadline get [`Response::TimedOut`]
+        /// instead of occupying a worker.
         deadline_ms: u32,
-        /// Traffic class the SLO and queue discipline key on. v1 frames
-        /// decode as [`RequestClass::Interactive`].
+        /// Traffic class the SLO and queue discipline key on.
         class: RequestClass,
         /// Per-request SLO in microseconds from arrival; `0` falls back to
         /// `deadline_ms`, then to the server's per-class default.
@@ -287,6 +263,18 @@ impl<'a> Reader<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 
+    /// Reads an `f64` that a request carries as data: NaN and ±inf are
+    /// rejected, because formats disagree on `inf × 0` (structural zeros
+    /// are skipped by some formats and multiplied by others).
+    fn finite_f64(&mut self) -> Result<f64, ProtoError> {
+        let v = self.f64()?;
+        if v.is_finite() {
+            Ok(v)
+        } else {
+            Err(ProtoError::Malformed("non-finite value"))
+        }
+    }
+
     /// Reads a count of fixed-size elements, bounding it by the bytes that
     /// remain so a lying header cannot size a huge allocation.
     fn count(&mut self, elem_bytes: usize) -> Result<usize, ProtoError> {
@@ -313,7 +301,7 @@ impl<'a> Reader<'a> {
         }
         let mut values = Vec::with_capacity(nnz);
         for _ in 0..nnz {
-            values.push(self.f64()?);
+            values.push(self.finite_f64()?);
         }
         // Re-validate `SparseVec::new`'s panics as protocol errors.
         if indices.windows(2).any(|w| w[0] >= w[1]) {
@@ -351,40 +339,23 @@ const RESP_SHUTTING_DOWN: u8 = 134;
 const RESP_ERROR: u8 = 135;
 const RESP_HEALTH: u8 = 136;
 
-/// Encodes a request into a current-version frame payload with
-/// `frame_id = 0` (version + frame id + tag + body).
+/// Encodes a request into a frame payload with `frame_id = 0`.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    encode_request_version(req, PROTO_VERSION)
+    encode_request_framed(req, PROTO_VERSION, 0)
 }
 
-/// Encodes a request at an explicit protocol version with `frame_id = 0`.
-/// See [`encode_request_framed`] for lossiness and panics.
-pub fn encode_request_version(req: &Request, version: u8) -> Vec<u8> {
-    encode_request_framed(req, version, 0)
-}
-
-/// Encodes a request at an explicit protocol version and frame id.
-/// Encoding below v3 is lossy: the frame id is dropped (those versions
-/// are one-in-flight, so a receiver reconstructs `0`), and v1 also drops
-/// the `Predict` class and SLO (a v1 receiver will reconstruct
-/// `Interactive` / `slo_us = 0`) — exactly what a legacy client binary
-/// would send. Panics on an unknown version; callers pick from
-/// [`ACCEPTED_VERSIONS`].
+/// Encodes a request with an explicit frame id. `version` must be
+/// [`PROTO_VERSION`]; it is a parameter so callers state the version they
+/// speak, and anything else panics.
 pub fn encode_request_framed(req: &Request, version: u8, frame_id: u64) -> Vec<u8> {
-    assert!(ACCEPTED_VERSIONS.contains(&version), "unknown protocol version {version}");
-    let mut out = vec![version];
-    if version >= PROTO_VERSION {
-        put_u64(&mut out, frame_id);
-    }
+    let mut out = header(version, frame_id);
     match req {
         Request::Predict { model, deadline_ms, class, slo_us, vectors } => {
             out.push(REQ_PREDICT);
             put_str(&mut out, model);
             put_u32(&mut out, *deadline_ms);
-            if version >= PROTO_V2 {
-                out.push(*class as u8);
-                put_u32(&mut out, *slo_us);
-            }
+            out.push(*class as u8);
+            put_u32(&mut out, *slo_us);
             put_u32(&mut out, vectors.len() as u32);
             for v in vectors {
                 put_sparse(&mut out, v);
@@ -409,39 +380,39 @@ pub fn encode_request_framed(req: &Request, version: u8, frame_id: u64) -> Vec<u
     out
 }
 
-/// Decodes a request frame payload (any live version).
+/// The payload header up to the tag: version byte and frame id.
+fn header(version: u8, frame_id: u64) -> Vec<u8> {
+    assert_eq!(version, PROTO_VERSION, "unsupported protocol version {version}");
+    let mut out = vec![version];
+    put_u64(&mut out, frame_id);
+    out
+}
+
+/// Reads and checks the payload header, returning the frame id.
+fn read_header(r: &mut Reader<'_>) -> Result<u64, ProtoError> {
+    match r.u8()? {
+        PROTO_VERSION => r.u64(),
+        v => Err(ProtoError::BadVersion(v)),
+    }
+}
+
+/// Decodes a request frame payload.
 pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
-    decode_request_versioned(payload).map(|(_, req)| req)
+    decode_request_framed(payload).map(|(_, _, req)| req)
 }
 
-/// Decodes a request frame payload and reports which protocol version it
-/// arrived in, so the server can answer in kind.
-pub fn decode_request_versioned(payload: &[u8]) -> Result<(u8, Request), ProtoError> {
-    decode_request_framed(payload).map(|(version, _, req)| (version, req))
-}
-
-/// Decodes a request frame payload, reporting the protocol version it
-/// arrived in and its frame id (`0` for pre-v3 frames, which are served
-/// one-in-flight).
+/// Decodes a request frame payload, reporting the protocol version and
+/// the frame id.
 pub fn decode_request_framed(payload: &[u8]) -> Result<(u8, u64, Request), ProtoError> {
     let mut r = Reader { bytes: payload, pos: 0 };
-    let version = r.u8()?;
-    if !ACCEPTED_VERSIONS.contains(&version) {
-        return Err(ProtoError::BadVersion(version));
-    }
-    let frame_id = if version >= PROTO_VERSION { r.u64()? } else { 0 };
+    let frame_id = read_header(&mut r)?;
     let tag = r.u8()?;
     let req = match tag {
         REQ_PREDICT => {
             let model = r.string()?;
             let deadline_ms = r.u32()?;
-            // v1 has no class/SLO on the wire: legacy traffic is
-            // interactive with only its coarse deadline.
-            let (class, slo_us) = if version >= PROTO_V2 {
-                (RequestClass::from_wire(r.u8()?)?, r.u32()?)
-            } else {
-                (RequestClass::Interactive, 0)
-            };
+            let class = RequestClass::from_wire(r.u8()?)?;
+            let slo_us = r.u32()?;
             // One sparse vector is at least dim + count = 12 bytes.
             let n = r.count(12)?;
             let mut vectors = Vec::with_capacity(n);
@@ -457,7 +428,7 @@ pub fn decode_request_framed(payload: &[u8]) -> Result<(u8, u64, Request), Proto
             let n = r.count(24)?;
             let mut entries = Vec::with_capacity(n);
             for _ in 0..n {
-                entries.push((r.u64()?, r.u64()?, r.f64()?));
+                entries.push((r.u64()?, r.u64()?, r.finite_f64()?));
             }
             Request::Schedule { strategy, rows, cols, entries }
         }
@@ -467,33 +438,18 @@ pub fn decode_request_framed(payload: &[u8]) -> Result<(u8, u64, Request), Proto
         t => return Err(ProtoError::BadTag(t)),
     };
     r.finish()?;
-    Ok((version, frame_id, req))
+    Ok((PROTO_VERSION, frame_id, req))
 }
 
-/// Encodes a response into a current-version frame payload with
-/// `frame_id = 0`.
+/// Encodes a response into a frame payload with `frame_id = 0`.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    encode_response_version(resp, PROTO_VERSION)
+    encode_response_framed(resp, PROTO_VERSION, 0)
 }
 
-/// Encodes a response at an explicit protocol version with `frame_id = 0`.
-/// See [`encode_response_framed`].
-pub fn encode_response_version(resp: &Response, version: u8) -> Vec<u8> {
-    encode_response_framed(resp, version, 0)
-}
-
-/// Encodes a response stamped with an explicit protocol version and frame
-/// id — the server answers each request with the version it arrived in
-/// (so a v1 client never sees a version byte it would reject) and echoes
-/// the request's frame id (dropped below v3, where responses arrive in
-/// order). Response bodies are identical across live versions; only the
-/// header differs. Panics on an unknown version.
+/// Encodes a response echoing the request's frame id. `version` must be
+/// [`PROTO_VERSION`]; anything else panics.
 pub fn encode_response_framed(resp: &Response, version: u8, frame_id: u64) -> Vec<u8> {
-    assert!(ACCEPTED_VERSIONS.contains(&version), "unknown protocol version {version}");
-    let mut out = vec![version];
-    if version >= PROTO_VERSION {
-        put_u64(&mut out, frame_id);
-    }
+    let mut out = header(version, frame_id);
     match resp {
         Response::Predictions(values) => {
             out.push(RESP_PREDICTIONS);
@@ -531,22 +487,17 @@ pub fn encode_response_framed(resp: &Response, version: u8, frame_id: u64) -> Ve
     out
 }
 
-/// Decodes a response frame payload (any live version).
+/// Decodes a response frame payload.
 pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
     decode_response_framed(payload).map(|(_, _, resp)| resp)
 }
 
-/// Decodes a response frame payload, reporting the protocol version it
-/// arrived in and the echoed frame id (`0` for pre-v3 frames). The frame
-/// id is how a pipelining client matches out-of-order responses back to
-/// their requests.
+/// Decodes a response frame payload, reporting the protocol version and
+/// the echoed frame id. The frame id is how a pipelining client matches
+/// out-of-order responses back to their requests.
 pub fn decode_response_framed(payload: &[u8]) -> Result<(u8, u64, Response), ProtoError> {
     let mut r = Reader { bytes: payload, pos: 0 };
-    let version = r.u8()?;
-    if !ACCEPTED_VERSIONS.contains(&version) {
-        return Err(ProtoError::BadVersion(version));
-    }
-    let frame_id = if version >= PROTO_VERSION { r.u64()? } else { 0 };
+    let frame_id = read_header(&mut r)?;
     let tag = r.u8()?;
     let resp = match tag {
         RESP_PREDICTIONS => {
@@ -578,7 +529,7 @@ pub fn decode_response_framed(payload: &[u8]) -> Result<(u8, u64, Response), Pro
         t => return Err(ProtoError::BadTag(t)),
     };
     r.finish()?;
-    Ok((version, frame_id, resp))
+    Ok((PROTO_VERSION, frame_id, resp))
 }
 
 // ---- framing ------------------------------------------------------------
@@ -687,7 +638,9 @@ mod tests {
     #[test]
     fn responses_round_trip() {
         let resps = [
-            Response::Predictions(vec![1.5, -0.25, f64::MIN_POSITIVE]),
+            // Only request values are checked for finiteness; a decision
+            // value is the server's own output and travels as computed.
+            Response::Predictions(vec![1.5, -0.25, f64::MIN_POSITIVE, f64::INFINITY]),
             Response::Scheduled {
                 format: "CSR".into(),
                 reason: "high row imbalance".into(),
@@ -752,8 +705,9 @@ mod tests {
     #[test]
     fn bad_version_tag_and_class_are_rejected() {
         assert_eq!(decode_request(&[9, REQ_STATS]), Err(ProtoError::BadVersion(9)));
+        // A v2-shaped Stats frame (version + tag, no frame id).
+        assert_eq!(decode_request(&[2, REQ_STATS]), Err(ProtoError::BadVersion(2)));
         assert_eq!(decode_request(&v3_header(99)), Err(ProtoError::BadTag(99)));
-        assert_eq!(decode_request(&[PROTO_V2, 99]), Err(ProtoError::BadTag(99)));
         assert_eq!(decode_response(&v3_header(3)), Err(ProtoError::BadTag(3)));
         let mut payload = v3_header(REQ_PREDICT);
         put_str(&mut payload, "m");
@@ -762,61 +716,6 @@ mod tests {
         put_u32(&mut payload, 0);
         put_u32(&mut payload, 0);
         assert!(matches!(decode_request(&payload), Err(ProtoError::Malformed(_))));
-    }
-
-    #[test]
-    fn v1_predict_decodes_as_interactive_with_the_legacy_deadline() {
-        let req = Request::Predict {
-            model: "adult".into(),
-            deadline_ms: 40,
-            class: RequestClass::Batch, // dropped by the v1 encoding
-            slo_us: 999,                // dropped by the v1 encoding
-            vectors: vec![sv(5, &[(2, 1.5)])],
-        };
-        let payload = encode_request_version(&req, PROTO_V1);
-        assert_eq!(payload[0], PROTO_V1);
-        let (version, decoded) = decode_request_versioned(&payload).unwrap();
-        assert_eq!(version, PROTO_V1);
-        assert_eq!(
-            decoded,
-            Request::Predict {
-                model: "adult".into(),
-                deadline_ms: 40,
-                class: RequestClass::Interactive,
-                slo_us: 0,
-                vectors: vec![sv(5, &[(2, 1.5)])],
-            }
-        );
-    }
-
-    #[test]
-    fn non_predict_requests_are_version_stable() {
-        for req in [Request::Stats, Request::Health, Request::Shutdown] {
-            let v1 = encode_request_version(&req, PROTO_V1);
-            let v2 = encode_request_version(&req, PROTO_V2);
-            let v3 = encode_request_version(&req, PROTO_VERSION);
-            assert_eq!(&v1[1..], &v2[1..], "{req:?} bodies must match across versions");
-            // v3 inserts an 8-byte frame id between version and tag; the
-            // body after it is unchanged.
-            assert_eq!(&v2[1..], &v3[9..], "{req:?} v3 body must match pre-v3");
-            assert_eq!(decode_request(&v1).unwrap(), req);
-            assert_eq!(decode_request(&v2).unwrap(), req);
-            assert_eq!(decode_request(&v3).unwrap(), req);
-        }
-    }
-
-    #[test]
-    fn responses_echo_the_requested_version() {
-        let resp = Response::Predictions(vec![1.0, 2.0]);
-        let v1 = encode_response_version(&resp, PROTO_V1);
-        assert_eq!(v1[0], PROTO_V1);
-        assert_eq!(decode_response(&v1).unwrap(), resp);
-        let v2 = encode_response_version(&resp, PROTO_V2);
-        assert_eq!(v2[0], PROTO_V2);
-        assert_eq!(&v1[1..], &v2[1..], "response bodies are version-independent");
-        let v3 = encode_response_version(&resp, PROTO_VERSION);
-        assert_eq!(v3[0], PROTO_VERSION);
-        assert_eq!(&v2[1..], &v3[9..], "v3 body must match pre-v3 after the frame id");
     }
 
     #[test]
@@ -841,16 +740,49 @@ mod tests {
     }
 
     #[test]
-    fn pre_v3_frames_decode_with_frame_id_zero() {
-        for version in [PROTO_V1, PROTO_V2] {
-            // The frame id is dropped by pre-v3 encodings…
-            let payload = encode_request_framed(&Request::Stats, version, 999);
-            let (v, frame_id, req) = decode_request_framed(&payload).unwrap();
-            assert_eq!((v, frame_id, req), (version, 0, Request::Stats));
-            // …and on responses too.
-            let payload = encode_response_framed(&Response::Busy, version, 999);
-            let (v, frame_id, resp) = decode_response_framed(&payload).unwrap();
-            assert_eq!((v, frame_id, resp), (version, 0, Response::Busy));
+    #[should_panic(expected = "unsupported protocol version 2")]
+    fn encoding_another_version_panics() {
+        encode_request_framed(&Request::Stats, 2, 0);
+    }
+
+    fn predict_with_value(x: f64) -> Vec<u8> {
+        encode_request(&Request::Predict {
+            model: "m".into(),
+            deadline_ms: 0,
+            class: RequestClass::Interactive,
+            slo_us: 0,
+            vectors: vec![sv(4, &[(0, 1.0), (2, x)])],
+        })
+    }
+
+    fn schedule_with_value(x: f64) -> Vec<u8> {
+        encode_request(&Request::Schedule {
+            strategy: String::new(),
+            rows: 2,
+            cols: 2,
+            entries: vec![(0, 0, 1.0), (1, 1, x)],
+        })
+    }
+
+    #[test]
+    fn non_finite_request_values_are_malformed() {
+        let malformed = Err(ProtoError::Malformed("non-finite value"));
+        for x in [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(decode_request(&predict_with_value(x)), malformed, "predict {x}");
+            assert_eq!(decode_request(&schedule_with_value(x)), malformed, "schedule {x}");
+        }
+        // The finite extremes and signed zeros still decode bit for bit.
+        for x in [f64::MAX, f64::MIN, f64::MIN_POSITIVE, 5e-324, 0.0, -0.0] {
+            let Ok(Request::Predict { vectors, .. }) = decode_request(&predict_with_value(x))
+            else {
+                panic!("predict {x} rejected");
+            };
+            assert_eq!(vectors[0].values()[1].to_bits(), x.to_bits());
+            let Ok(Request::Schedule { entries, .. }) = decode_request(&schedule_with_value(x))
+            else {
+                panic!("schedule {x} rejected");
+            };
+            assert_eq!(entries[1].2.to_bits(), x.to_bits());
         }
     }
 

@@ -10,8 +10,15 @@
 //!
 //! Level-triggered (the default) rather than edge-triggered: the event
 //! loop may legitimately stop reading a ready socket (write backpressure,
-//! a pre-v3 request in flight) and must be re-notified on the next wait
+//! a flooded read buffer) and must be re-notified on the next wait
 //! without re-arming gymnastics.
+//!
+//! Every `unsafe` block below is one FFI call and carries a `SAFETY:`
+//! comment. The invariants they share: each raw fd is owned by exactly
+//! one [`Poll`] or [`WakeFd`] and stays open until that value's `Drop`;
+//! every pointer handed to the kernel comes from a live Rust value whose
+//! length is passed alongside it; and `EpollEvent` has the kernel's
+//! `struct epoll_event` layout.
 
 use std::io;
 use std::os::unix::io::RawFd;
@@ -40,6 +47,12 @@ struct EpollEvent {
     events: u32,
     data: u64,
 }
+
+// The layout the FFI calls rely on: 12 bytes packed on x86-64, 16 with
+// natural alignment elsewhere.
+const _: () = assert!(
+    std::mem::size_of::<EpollEvent>() == if cfg!(target_arch = "x86_64") { 12 } else { 16 }
+);
 
 extern "C" {
     fn epoll_create1(flags: i32) -> i32;
@@ -74,6 +87,8 @@ pub struct Poll {
 impl Poll {
     /// Creates an epoll instance (close-on-exec).
     pub fn new() -> io::Result<Poll> {
+        // SAFETY: `epoll_create1` takes no pointers; it returns a new fd or
+        // -1, and a non-negative fd is owned by the `Poll` built from it.
         let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
         if epfd < 0 {
             return Err(io::Error::last_os_error());
@@ -83,6 +98,11 @@ impl Poll {
 
     fn ctl(&self, op: i32, fd: RawFd, interest: u32, token: u64) -> io::Result<()> {
         let mut ev = EpollEvent { events: interest, data: token };
+        // SAFETY: `self.epfd` is open while `self` lives. `ev` is a live
+        // `EpollEvent` with the kernel's layout; the kernel only reads it
+        // during the call (and ignores it for `EPOLL_CTL_DEL`). A stale or
+        // foreign `fd` makes the call fail with an errno, never touch
+        // memory.
         let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
         if rc < 0 {
             return Err(io::Error::last_os_error());
@@ -121,6 +141,10 @@ impl Poll {
             None => -1,
         };
         let n = loop {
+            // SAFETY: `self.epfd` is open while `self` lives. `raw` holds
+            // exactly `MAX_EVENTS` `EpollEvent`s with the kernel's layout,
+            // and the kernel writes at most `maxevents` of them, so every
+            // write lands inside the array. Only the first `rc` are read.
             let rc =
                 unsafe { epoll_wait(self.epfd, raw.as_mut_ptr(), MAX_EVENTS as i32, timeout_ms) };
             if rc >= 0 {
@@ -146,6 +170,9 @@ impl Poll {
 
 impl Drop for Poll {
     fn drop(&mut self) {
+        // SAFETY: `Poll` owns `epfd` (created in `new`, never duplicated
+        // or handed out), so this is its one close and no later call can
+        // reach the number after the kernel recycles it.
         unsafe { close(self.epfd) };
     }
 }
@@ -161,6 +188,8 @@ pub struct WakeFd {
 impl WakeFd {
     /// Creates a nonblocking eventfd.
     pub fn new() -> io::Result<WakeFd> {
+        // SAFETY: `eventfd` takes no pointers; it returns a new fd or -1,
+        // and a non-negative fd is owned by the `WakeFd` built from it.
         let fd = unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
         if fd < 0 {
             return Err(io::Error::last_os_error());
@@ -178,18 +207,29 @@ impl WakeFd {
     /// so the error is ignored.
     pub fn wake(&self) {
         let one = 1u64.to_ne_bytes();
+        // SAFETY: `self.fd` is open while `self` lives (callers on other
+        // threads hold an `Arc<WakeFd>`). The kernel reads exactly
+        // `one.len()` = 8 bytes from a live local array, the size an
+        // eventfd write requires.
         unsafe { write(self.fd, one.as_ptr(), one.len()) };
     }
 
     /// Consumes all pending wakeups so the fd stops polling readable.
     pub fn drain(&self) {
         let mut buf = [0u8; 8];
+        // SAFETY: `self.fd` is open while `self` lives. The kernel writes
+        // at most `buf.len()` = 8 bytes into a live local array; a
+        // nonblocking eventfd with no pending count fails with `EAGAIN`
+        // and writes nothing.
         unsafe { read(self.fd, buf.as_mut_ptr(), buf.len()) };
     }
 }
 
 impl Drop for WakeFd {
     fn drop(&mut self) {
+        // SAFETY: `WakeFd` owns `fd` and lends it out only as a number for
+        // registration; the last `Arc<WakeFd>` dropping is the one close,
+        // so no `wake` can race it.
         unsafe { close(self.fd) };
     }
 }

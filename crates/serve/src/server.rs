@@ -9,8 +9,8 @@
 //!   writes the reply. A handler serves strictly in order, one request
 //!   at a time — concurrency comes from concurrent connections.
 //! * **`reactor`** — a single event-loop thread drives every connection
-//!   through epoll readiness (see [`crate::reactor`]); protocol-v3
-//!   clients can pipeline many requests per connection and receive
+//!   through epoll readiness (see [`crate::reactor`]); clients can
+//!   pipeline many requests per connection and receive
 //!   responses out of order by `frame_id`.
 //!
 //! Shutdown (a `Shutdown` frame, or [`ServerHandle::shutdown`], which the
@@ -52,7 +52,7 @@ pub enum Frontend {
     /// per open socket.
     Threads,
     /// Readiness-driven event loop: one thread for all connections,
-    /// pipelined protocol v3.
+    /// pipelined frames answered out of order.
     Reactor,
 }
 
@@ -420,25 +420,20 @@ fn handle_connection(
                 return Err(e);
             }
         };
-        // Decode tolerantly across protocol versions and echo the
-        // response at the version (and, for v3, the frame id) the request
-        // arrived in, so older clients interoperate frame-for-frame. This
-        // front end answers strictly in order, which is a valid — if
-        // serial — v3 pipelining schedule.
-        let (version, frame_id, response) = match decode_request_framed(&payload) {
+        // Echo the request's frame id. This front end answers strictly in
+        // order, which is a valid — if serial — pipelining schedule.
+        let (frame_id, response) = match decode_request_framed(&payload) {
             Err(e) => {
                 FaultCounters::bump(&stats.faults.protocol_errors);
-                (PROTO_VERSION, 0, Response::Error(format!("protocol error: {e}")))
+                (0, Response::Error(format!("protocol error: {e}")))
             }
-            Ok((version, frame_id, _)) if shutdown.load(Ordering::SeqCst) => {
-                (version, frame_id, Response::ShuttingDown)
+            Ok((_, frame_id, _)) if shutdown.load(Ordering::SeqCst) => {
+                (frame_id, Response::ShuttingDown)
             }
-            Ok((version, frame_id, request)) => {
-                (version, frame_id, dispatch(request, executor, shutdown))
-            }
+            Ok((_, frame_id, request)) => (frame_id, dispatch(request, executor, shutdown)),
         };
         if let Err(e) =
-            write_frame(&mut writer, &encode_response_framed(&response, version, frame_id))
+            write_frame(&mut writer, &encode_response_framed(&response, PROTO_VERSION, frame_id))
         {
             match e.kind() {
                 std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock => {

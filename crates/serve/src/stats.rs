@@ -326,7 +326,7 @@ impl ReactorCounters {
 }
 
 /// Gauges for the online-learning feedback loop (`serve::feedback`): the
-/// live model version, ensemble size, confidence-fallback counters, and
+/// live model version, confidence-fallback counters, and
 /// retrain outcomes. All store-synced from the [`crate::FeedbackHub`] on
 /// every `Stats` request; all zero when no feedback hub is configured.
 #[derive(Debug, Default)]
@@ -334,9 +334,6 @@ pub struct SelectorCounters {
     /// Active model version — the hot-swap generation (1 = the selector
     /// the server started with).
     pub active_version: AtomicU64,
-    /// Trees in the live model: 0 analytic rules, 1 single CART, 3..=7
-    /// bagged forest.
-    pub ensemble_size: AtomicU64,
     /// Selections made by the live hybrid selector.
     pub decisions: AtomicU64,
     /// Selections that fell below the confidence gate and were decided by
@@ -370,7 +367,6 @@ impl SelectorCounters {
         let get = |c: &AtomicU64| JsonValue::from(c.load(Ordering::Relaxed));
         JsonValue::obj([
             ("active_version", get(&self.active_version)),
-            ("ensemble_size", get(&self.ensemble_size)),
             ("decisions", get(&self.decisions)),
             ("fallbacks", get(&self.fallbacks)),
             ("fallback_rate", JsonValue::from(self.fallback_rate())),
@@ -407,7 +403,7 @@ pub struct ServeStats {
     pub degrade: DegradeCounters,
     /// Readiness front-end gauges and executor steal count.
     pub reactor: ReactorCounters,
-    /// Online-learning selector gauges (version, ensemble, fallbacks,
+    /// Online-learning selector gauges (version, fallbacks,
     /// retrain outcomes).
     pub selector: SelectorCounters,
     /// How often the scheduler chose each format, in [`Format::ALL`] order.

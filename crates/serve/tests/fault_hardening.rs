@@ -10,8 +10,8 @@
 use dls_core::LayoutScheduler;
 use dls_serve::fault::{flip_bit, FaultAction, FaultInjector, FaultPlan, FaultSite, SplitMix64};
 use dls_serve::proto::{
-    decode_request_versioned, decode_response, encode_request_version, encode_response_version,
-    read_frame, Request, RequestClass, Response, PROTO_V1, PROTO_VERSION,
+    decode_request_framed, decode_response, encode_request, encode_response, read_frame, Request,
+    RequestClass, Response,
 };
 use dls_serve::{
     start, ClientError, ExecutorConfig, ModelRegistry, PredictRequest, RetryClient, RetryPolicy,
@@ -147,27 +147,23 @@ proptest! {
     #[test]
     fn mutated_request_frames_never_panic_the_decoder(
         req in arb_request(),
-        v1 in 0u8..2,
         seed in 0u64..u64::MAX,
         rounds in 1u32..12,
     ) {
-        let version = if v1 == 1 { PROTO_V1 } else { PROTO_VERSION };
-        let mut payload = encode_request_version(&req, version);
+        let mut payload = encode_request(&req);
         mutate(&mut payload, seed, rounds);
         // Must return (typed error or an accidentally-valid message) —
         // a panic fails the test harness itself.
-        let _ = decode_request_versioned(&payload);
+        let _ = decode_request_framed(&payload);
     }
 
     #[test]
     fn mutated_response_frames_never_panic_the_decoder(
         resp in arb_response(),
-        v1 in 0u8..2,
         seed in 0u64..u64::MAX,
         rounds in 1u32..12,
     ) {
-        let version = if v1 == 1 { PROTO_V1 } else { PROTO_VERSION };
-        let mut payload = encode_response_version(&resp, version);
+        let mut payload = encode_response(&resp);
         mutate(&mut payload, seed, rounds);
         let _ = decode_response(&payload);
     }
@@ -202,7 +198,7 @@ fn clients_dying_mid_request_leave_others_served() {
     {
         let mut raw = TcpStream::connect(addr).expect("connect victim");
         let req = Request::from(&PredictRequest::builder("m").vector(query(1)).build());
-        let payload = encode_request_version(&req, PROTO_VERSION);
+        let payload = encode_request(&req);
         raw.write_all(&(payload.len() as u32).to_le_bytes()).expect("prefix");
         raw.write_all(&payload).expect("body");
         raw.flush().ok();
@@ -420,7 +416,7 @@ fn corrupted_response_writes_fail_typed_on_the_client() {
         // starves the read (Timeout), a wildly large one trips the frame
         // bound — all typed, none silent.
         Err(ClientError::Protocol(_) | ClientError::Timeout | ClientError::FrameTooLarge(_)) => {}
-        Err(ClientError::ConnectionLost(_)) => {} // prefix > MAX_FRAME closes
+        Err(ClientError::ConnectionLost(_)) => {} // prefix > MAX_FRAME_LEN closes
         other => panic!("corrupted response produced {other:?}"),
     }
     assert_eq!(plan.injected_at(FaultSite::ConnWrite), 1);

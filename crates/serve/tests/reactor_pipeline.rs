@@ -1,13 +1,13 @@
 //! Loopback tests for the reactor front end and protocol-v3 pipelining:
-//! out-of-order response reassembly in [`PipelinedClient`], pre-v3
-//! clients interoperating with a v3 server, the reactor gauges in the
-//! stats JSON, and idle-worker stealing across executor shards.
+//! out-of-order response reassembly in [`PipelinedClient`], the reactor
+//! gauges in the stats JSON, and idle-worker stealing across executor
+//! shards.
 
 use dls_core::LayoutScheduler;
 use dls_serve::{
     start, FaultAction, FaultInjector, FaultPlan, FaultSite, Frontend, ModelRegistry,
     PipelinedClient, PredictRequest, Request, Response, ServeClient, ServedModel, ServerConfig,
-    ServerHandle, PROTO_V1, PROTO_V2,
+    ServerHandle,
 };
 use dls_sparse::SparseVec;
 use dls_svm::{KernelKind, SvmModel};
@@ -106,25 +106,6 @@ fn a_pipeline_of_predicts_completes_exactly_once_per_frame() {
     }
     seen.sort_unstable();
     assert_eq!(seen, ids, "every frame answered exactly once");
-    handle.shutdown();
-}
-
-/// Pre-v3 clients speak to the reactor unchanged: one-in-flight
-/// request/response at their own version, class/SLO dropped only for v1.
-#[test]
-fn v1_and_v2_clients_interop_with_the_reactor() {
-    let handle = serve_reactor();
-    for version in [PROTO_V1, PROTO_V2] {
-        let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
-        client.set_protocol_version(version).expect("supported version");
-        client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        match client.send(&PredictRequest::builder("m").vector(query(3)).build()) {
-            Ok(Response::Predictions(vals)) => assert_eq!(vals.len(), 1),
-            other => panic!("v{version} predict failed: {other:?}"),
-        }
-        let json = client.stats().expect("stats over the wire");
-        assert!(json.contains("\"reactor\""), "v{version} stats lacks the reactor section");
-    }
     handle.shutdown();
 }
 

@@ -9,14 +9,16 @@
 //! not hoped for.
 
 use dls_core::LayoutScheduler;
+use dls_serve::proto::{read_frame, write_frame};
 use dls_serve::stats::parse_block_hist;
 use dls_serve::{
-    start, ModelRegistry, PredictRequest, Response, ScheduleRequest, ServeClient, ServedModel,
-    ServerConfig, ServerHandle,
+    decode_response_framed, encode_request_framed, start, Frontend, ModelRegistry, PredictRequest,
+    Request, RequestClass, Response, ScheduleRequest, ServeClient, ServedModel, ServerConfig,
+    ServerHandle, PROTO_VERSION,
 };
 use dls_sparse::SparseVec;
 use dls_svm::{KernelKind, SvmModel};
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 const DIM: usize = 16;
@@ -245,24 +247,89 @@ fn schedule_and_errors_over_the_wire() {
     handle.shutdown();
 }
 
-/// The pre-redesign client methods still work (deprecated shims over the
-/// builder API) — existing callers keep compiling and serving.
+/// Sends one raw payload as a frame and reads back the decoded reply with
+/// its frame id.
+fn raw_round_trip(stream: &mut TcpStream, payload: &[u8]) -> (u64, Response) {
+    write_frame(stream, payload).expect("send frame");
+    let reply = read_frame(stream).expect("read reply").expect("server closed the connection");
+    let (_, frame_id, resp) = decode_response_framed(&reply).expect("decode reply");
+    (frame_id, resp)
+}
+
+/// A v3 predict for `query(seed)` under `frame_id`, answered bit-exactly.
+fn assert_v3_predict_serves(stream: &mut TcpStream, seed: usize, frame_id: u64) {
+    let req = Request::from(&PredictRequest::builder("m").vector(query(seed)).build());
+    let want = test_model().decision_function(&query(seed));
+    match raw_round_trip(stream, &encode_request_framed(&req, PROTO_VERSION, frame_id)) {
+        (id, Response::Predictions(values)) => {
+            assert_eq!(id, frame_id);
+            assert_eq!(values.len(), 1);
+            assert_eq!(values[0].to_bits(), want.to_bits());
+        }
+        other => panic!("v3 predict after a rejected frame: {other:?}"),
+    }
+}
+
+fn protocol_errors(handle: &ServerHandle) -> u64 {
+    handle.stats().faults.protocol_errors.load(std::sync::atomic::Ordering::Relaxed)
+}
+
+/// A frame of an old protocol version (here a hand-built v2 `Predict`:
+/// the v3 layout without the frame id) gets a typed `unsupported protocol
+/// version` error on both front ends, and the connection goes on serving
+/// v3.
 #[test]
-#[allow(deprecated)]
-fn deprecated_client_shims_still_serve() {
-    let handle = serve(ServerConfig::default());
-    let mut c = ServeClient::connect(handle.local_addr()).expect("connect");
-    assert!(matches!(
-        c.predict("m", vec![query(2)], 0).expect("predict"),
-        Response::Predictions(_)
-    ));
-    let entries: Vec<(u64, u64, f64)> = (0..4).map(|i| (i, i, 1.0)).collect();
-    assert!(matches!(
-        c.schedule("csr", 4, 4, entries).expect("schedule"),
-        Response::Scheduled { .. }
-    ));
-    drop(c);
-    handle.shutdown();
+fn pre_v3_frames_get_a_typed_error_and_the_connection_keeps_serving() {
+    for frontend in [Frontend::Threads, Frontend::Reactor] {
+        let handle = serve(ServerConfig { frontend, ..ServerConfig::default() });
+        let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+
+        let req = Request::from(&PredictRequest::builder("m").vector(query(2)).build());
+        let v3 = encode_request_framed(&req, PROTO_VERSION, 0);
+        let v2: Vec<u8> = std::iter::once(2).chain(v3[9..].iter().copied()).collect();
+        match raw_round_trip(&mut stream, &v2) {
+            (0, Response::Error(msg)) => {
+                assert_eq!(msg, "protocol error: unsupported protocol version 2", "{frontend}")
+            }
+            other => panic!("{frontend}: v2 frame answered {other:?}"),
+        }
+        assert_eq!(protocol_errors(&handle), 1, "{frontend}");
+
+        assert_v3_predict_serves(&mut stream, 2, 11);
+        drop(stream);
+        handle.shutdown();
+    }
+}
+
+/// A NaN in a predict vector is refused at decode on both front ends (a
+/// layout choice must not be able to change the answer, and formats
+/// disagree on NaN and infinity), and the same connection then serves a
+/// valid predict.
+#[test]
+fn non_finite_predicts_are_protocol_errors_on_both_front_ends() {
+    for frontend in [Frontend::Threads, Frontend::Reactor] {
+        let handle = serve(ServerConfig { frontend, ..ServerConfig::default() });
+        let mut stream = TcpStream::connect(handle.local_addr()).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+
+        let bad = PredictRequest::builder("m")
+            .vector(SparseVec::new(DIM, vec![1, 4], vec![1.0, f64::NAN]))
+            .build();
+        let payload = encode_request_framed(&Request::from(&bad), PROTO_VERSION, 3);
+        match raw_round_trip(&mut stream, &payload) {
+            (0, Response::Error(msg)) => {
+                assert_eq!(msg, "protocol error: malformed field: non-finite value", "{frontend}")
+            }
+            other => panic!("{frontend}: NaN predict answered {other:?}"),
+        }
+        assert_eq!(protocol_errors(&handle), 1, "{frontend}");
+        assert_eq!(handle.stats().class(RequestClass::Interactive).completed(), 0, "{frontend}");
+
+        assert_v3_predict_serves(&mut stream, 5, 4);
+        drop(stream);
+        handle.shutdown();
+    }
 }
 
 #[test]

@@ -1,11 +1,10 @@
-//! Loopback tests for the SLO-aware serving redesign: protocol-v1 clients
-//! against a v2 server, classed requests with per-class telemetry, and
-//! each shipped queue discipline serving end to end.
+//! Loopback tests for SLO-aware serving: classed requests with per-class
+//! telemetry, and each shipped queue discipline serving end to end.
 
 use dls_core::LayoutScheduler;
 use dls_serve::{
     parse_discipline, start, ExecutorConfig, ModelRegistry, PredictRequest, RequestClass, Response,
-    ScheduleRequest, ServeClient, ServedModel, ServerConfig, ServerHandle, DISCIPLINES, PROTO_V1,
+    ServeClient, ServedModel, ServerConfig, ServerHandle, DISCIPLINES,
 };
 use dls_sparse::SparseVec;
 use dls_svm::{KernelKind, SvmModel};
@@ -30,50 +29,10 @@ fn query(seed: usize) -> SparseVec {
     SparseVec::new(DIM, vec![seed % DIM], vec![1.0])
 }
 
-/// Acceptance: a legacy v1 client interoperates with the v2 server — its
-/// predicts (decoded as interactive, legacy deadline), schedules, stats,
-/// and shutdown all round-trip, and its traffic lands on the interactive
-/// class ledger.
-#[test]
-fn v1_clients_interoperate_with_a_v2_server() {
-    let handle = serve(ExecutorConfig::default());
-    let model = test_model();
-    let mut c = ServeClient::connect(handle.local_addr()).expect("connect");
-    c.set_protocol_version(PROTO_V1).expect("v1 supported");
-    assert_eq!(c.protocol_version(), PROTO_V1);
-    assert!(c.set_protocol_version(9).is_err());
-
-    // Predict: class/SLO are absent from v1 frames, so the builder's batch
-    // markings are dropped on the wire — the server must still answer, as
-    // interactive.
-    let req = PredictRequest::builder("m")
-        .vector(query(3))
-        .class(RequestClass::Batch) // cannot survive a v1 encoding
-        .build();
-    match c.send(&req).expect("predict") {
-        Response::Predictions(values) => {
-            assert_eq!(values.len(), 1);
-            assert_eq!(values[0].to_bits(), model.decision_function(&query(3)).to_bits());
-        }
-        other => panic!("unexpected response {other:?}"),
-    }
-    assert_eq!(handle.stats().class(RequestClass::Interactive).completed(), 1);
-    assert_eq!(handle.stats().class(RequestClass::Batch).completed(), 0);
-
-    // Schedule and stats are version-stable.
-    let sched = ScheduleRequest::builder(4, 4).strategy("csr").entries((0..4).map(|i| (i, i, 1.0)));
-    assert!(matches!(c.send(&sched.build()).expect("schedule"), Response::Scheduled { .. }));
-    let stats = c.stats().expect("stats");
-    assert!(stats.contains("slo_violation_rate"), "stats JSON lost the SLO field: {stats}");
-    assert_eq!(c.shutdown().expect("shutdown"), Response::ShuttingDown);
-    drop(c);
-    handle.shutdown();
-}
-
-/// Classed requests round-trip on v2 and are accounted on their own
+/// Classed requests round-trip on the wire and are accounted on their own
 /// ledgers, with per-class SLO fields in the snapshot.
 #[test]
-fn v2_classes_land_on_their_own_ledgers() {
+fn classes_land_on_their_own_ledgers() {
     let handle = serve(ExecutorConfig::default());
     let mut c = ServeClient::connect(handle.local_addr()).expect("connect");
 

@@ -81,7 +81,7 @@ for frontend in threads reactor; do
     || { echo "retrain smoke ($frontend): missing zero-dropped assertion" >&2; exit 1; }
 done
 
-echo "==> online-selector gate (cross-machine regret: online/ensemble <= frozen CART)"
+echo "==> online-selector gate (cross-machine regret: online <= frozen CART)"
 selector_json="$(mktemp -t dls_selector_bench_XXXXXX.json)"
 trap 'rm -f "$model" "$bench_json" "$selector_json"' EXIT
 cargo run --release -q -p dls-bench --bin repro_selector_online -- --quick --check "$selector_json"
@@ -98,6 +98,9 @@ done
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (warnings are errors: no broken intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -401,19 +401,14 @@ fn cmd_stats_serve(addr: &str, health: bool) -> Result<(), String> {
     let doc = dls::core::json::parse(&json)?;
     print!("{}", doc.to_json_pretty());
     // Surface the online-learning loop in one line: which model is live,
-    // how it votes, how often the confidence gate fell back to the rules,
-    // and how the last retraining cycle ended.
+    // how often the confidence gate fell back to the rules, and how the
+    // last retraining cycle ended.
     if let Some(sel) = doc.get("selector") {
         let n = |k: &str| sel.get(k).and_then(|v| v.as_u64()).unwrap_or(0);
         println!(
-            "selector: model v{} ({}), confidence fallback {:.1}% ({}/{}), \
+            "selector: model v{}, confidence fallback {:.1}% ({}/{}), \
              {} observations ({} dropped), last retrain: {}",
             n("active_version"),
-            match n("ensemble_size") {
-                0 => "analytic rules".to_string(),
-                1 => "single tree".to_string(),
-                k => format!("{k}-tree forest"),
-            },
             sel.get("fallback_rate").and_then(|v| v.as_f64()).unwrap_or(0.0) * 100.0,
             n("fallbacks"),
             n("decisions"),
@@ -641,13 +636,6 @@ fn cmd_selector_info(args: &[String]) -> Result<(), String> {
         "trained on {} samples (grid={}, seed={}): {} measured, {} analytic fallback, {} analytic",
         m.samples, m.grid, m.seed, m.measured, m.analytic_fallback, m.analytic
     );
-    match &model.ensemble {
-        Some(forest) => println!(
-            "ensemble: {}-tree bagged forest (majority vote with vote-margin confidence)",
-            forest.len()
-        ),
-        None => println!("ensemble: none (single tree votes alone)"),
-    }
     let p = model.tree.params();
     println!(
         "tree: depth {} (max {}), {} leaves, min_leaf {}, min_gain {:e}",
